@@ -130,10 +130,7 @@ class AdaptiveFgStpMachine:
         loop there — bit-identical to a straight-through run because
         :meth:`_regions` is deterministic.
         """
-        if warmup:
-            # Warm-up is handled per region-machine; drop the prefix here
-            # by folding it into the first region's warmup.
-            pass
+        # The run-level warm-up is folded into the first region's.
         regions = self._regions(trace, warmup)
         total_cycles = 0
         total_instructions = 0
@@ -301,7 +298,8 @@ class AdaptiveFgStpMachine:
         skip = self.skip_ahead
         sample_end = min(len(region_trace),
                          region_warmup + self.sample_instructions)
-        sample = reseq(region_trace[:sample_end])
+        # Regions are dense from seq 0, so a prefix slice is a valid trace.
+        sample = region_trace[:sample_end]
         # Region machines run with checkpointing pinned off: the
         # adaptive machine checkpoints at region boundaries itself, and
         # env-driven inner snapshots would be both redundant and taken

@@ -45,6 +45,7 @@ from ..integrity.errors import (SimulationError, SimulationHang,
                                 SimulationLimit)
 from ..integrity.forensics import uop_brief
 from ..integrity.watchdog import Watchdog
+from ..isa.opcodes import OpClass
 from ..isa.program import INSTRUCTION_BYTES
 from ..stats.cpistack import CPIStack, maybe_validate
 from ..stats.result import SimResult
@@ -80,6 +81,17 @@ _FGSTP_STATE = (
     "_now", "_last_retire_prune", "squashes", "squashed_uops",
     "mispredict_stall_cycles", "window_stall_cycles", "skipped_cycles",
 )
+
+#: Layout version of the pickled state in a checkpoint.  Bump it whenever
+#: a component's pickled shape changes, so an older checkpoint is refused
+#: as a mismatch instead of being half-unpickled.  (v2: slotted partitioner
+#: writer entries.)
+CHECKPOINT_STATE_VERSION = 2
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
 
 
 class FgStpMachine:
@@ -504,7 +516,7 @@ class FgStpMachine:
             for tag in tags:
                 if tag.ready_cycle is None:
                     queue.send(tag, cycle)
-        if uop.record.is_store:
+        if uop.record.op_class is _STORE:
             watchers = self._watch.pop(uop.uid, None)
             if watchers:
                 self._check_watchers(uop, watchers, cycle)
@@ -627,39 +639,44 @@ class FgStpMachine:
             self.window_stall_cycles += 1
             return False
 
-        width = 2 * self.base.fetch_width
+        # Fetch stops at the fetch width, the window limit (the commit
+        # frontier cannot move while fetching) or the trace end.
+        limit = min(len(trace), cursor + 2 * self.base.fetch_width,
+                    self._global_next + self.fgstp.window_size)
         taken_budget = 2
         line_bytes = self.base.l1i.line_bytes
-        fetched = 0
-        while fetched < width and cursor < len(trace):
-            if cursor - self._global_next >= self.fgstp.window_size:
-                break
+        hit_latency = self.base.l1i.hit_latency
+        icache_line = self._icache_line
+        batch = self._batch
+        predictor = self.predictor
+        while cursor < limit:
             record = trace[cursor]
             line = (record.pc * INSTRUCTION_BYTES) // line_bytes
-            if line != self._icache_line:
+            if line != icache_line:
                 latency = self.hierarchies[0].fetch(
                     record.pc * INSTRUCTION_BYTES)
-                self._icache_line = line
-                if latency > self.base.l1i.hit_latency:
+                icache_line = line
+                if latency > hit_latency:
                     self._icache_ready = now + latency
                     break
-            self._batch.append(record)
+            batch.append(record)
             cursor += 1
-            fetched += 1
-            if record.is_control:
-                correct = self.predictor.predict(record)
-                self.predictor.update(record)
+            op = record.op_class
+            if op is _BRANCH or op is _JUMP:
+                correct = predictor.predict(record)
+                predictor.update(record)
                 if not correct:
                     self._stall_seq = record.seq
                     break
                 if record.taken:
-                    self._icache_line = -1
+                    icache_line = -1
                     taken_budget -= 1
                     if taken_budget == 0:
                         break
+        self._icache_line = icache_line
         self._fetch_cursor = cursor
 
-        if (len(self._batch) >= self.fgstp.batch_size
+        if (len(batch) >= self.fgstp.batch_size
                 or self._stall_seq is not None
                 or cursor >= len(trace)
                 or self._cores_starving()):
@@ -689,30 +706,32 @@ class FgStpMachine:
             batch, committed_seq=self._global_next)
         available_at = now + self.fgstp.partition_latency
         tracer = self.tracer
+        live = self._live
+        copies = self._copies
+        feed = self._feed
+        uid = self._next_uid
         for record, assignment in zip(batch, assignments):
-            uops = self._make_uops(record, assignment)
+            seq = record.seq
+            cores = assignment.cores
+            if len(cores) == 1:
+                uops = [Uop(record, uid, False, cores[0])]
+                uid += 1
+            else:
+                uops = [Uop(record, uid, True, 0),
+                        Uop(record, uid + 1, True, 1)]
+                uid += 2
+            live[seq] = uops
+            copies[seq] = len(uops)
             if tracer is not None and assignment.stolen:
                 tracer.instant(
-                    "steal", now, seq=record.seq,
-                    core=assignment.cores[0],
-                    detail=f"balance override -> core "
-                           f"{assignment.cores[0]}")
-            self._wire_dependences(record, assignment, uops, now)
+                    "steal", now, seq=seq, core=cores[0],
+                    detail=f"balance override -> core {cores[0]}")
+            op = record.op_class
+            if assignment.comm_srcs or op is _LOAD or op is _STORE:
+                self._wire_dependences(record, assignment, uops, now)
             for uop in uops:
-                self._feed[uop.core_id].append((available_at, uop))
-
-    def _make_uops(self, record: TraceRecord,
-                   assignment: Assignment) -> List[Uop]:
-        uops = []
-        replicated = assignment.replicated
-        for core in assignment.cores:
-            uop = Uop(record, self._next_uid, replica=replicated,
-                      core_id=core)
-            self._next_uid += 1
-            uops.append(uop)
-        self._live[record.seq] = uops
-        self._copies[record.seq] = len(uops)
-        return uops
+                feed[uop.core_id].append((available_at, uop))
+        self._next_uid = uid
 
     def _wire_dependences(self, record: TraceRecord,
                           assignment: Assignment, uops: List[Uop],
@@ -724,9 +743,10 @@ class FgStpMachine:
                 for uop in uops:
                     if uop.core_id == dest_core:
                         uop.extra_deps.append(tag)
-        if record.is_store:
+        op = record.op_class
+        if op is _STORE:
             self._last_store[uops[0].core_id] = uops[0]
-        if not record.is_load:
+        if op is not _LOAD:
             return
         if not self.fgstp.speculation:
             # Without dependence speculation a load cannot issue until the
@@ -814,7 +834,8 @@ class FgStpMachine:
 
     def checkpoint_params_key(self) -> str:
         """Configuration identity for checkpoint compatibility checks."""
-        return f"{self.base!r}|{self.fgstp!r}|{self.policy_name}"
+        return (f"{self.base!r}|{self.fgstp!r}|{self.policy_name}"
+                f"|state=v{CHECKPOINT_STATE_VERSION}")
 
     def _detach_observers(self) -> dict:
         """Strip the unpicklable observer hooks before serialization.

@@ -40,9 +40,19 @@ from .params import DEFAULT_OP_WEIGHTS, FgStpParams
 #: Marker for "value is architecturally visible everywhere" (produced by
 #: an instruction that committed before the current window).
 BOTH_CORES = frozenset((0, 1))
+#: The core set of a value produced on core 0 / core 1 only.  Every
+#: writer entry shares one of these three sets.
+_CORE_SET = (frozenset((0,)), frozenset((1,)))
+#: ``Assignment.cores`` values, likewise shared.
+_ONE_CORE = ((0,), (1,))
+_TWO_CORES = (0, 1)
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
 
 
-@dataclass
 class WriterEntry:
     """Partition-time knowledge about a register/memory value's producer.
 
@@ -53,12 +63,18 @@ class WriterEntry:
         pc: Producer's static PC (for predictor training).
     """
 
-    seq: int
-    cores: frozenset
-    pc: int
+    __slots__ = ("seq", "cores", "pc")
+
+    def __init__(self, seq: int, cores: frozenset, pc: int):
+        self.seq = seq
+        self.cores = cores
+        self.pc = pc
+
+    def __repr__(self) -> str:
+        return (f"WriterEntry(seq={self.seq}, cores={set(self.cores)}, "
+                f"pc={self.pc})")
 
 
-@dataclass
 class Assignment:
     """Partitioning decision for one dynamic instruction.
 
@@ -76,15 +92,26 @@ class Assignment:
         replicated: Convenience flag (``len(cores) == 2``).
     """
 
-    seq: int
-    cores: Tuple[int, ...]
-    comm_srcs: List[Tuple[int, int]] = field(default_factory=list)
-    mem_dep: Optional[Tuple[int, int]] = None
-    stolen: bool = False
+    __slots__ = ("seq", "cores", "comm_srcs", "mem_dep", "stolen")
+
+    def __init__(self, seq: int, cores: Tuple[int, ...],
+                 comm_srcs: Optional[List[Tuple[int, int]]] = None,
+                 mem_dep: Optional[Tuple[int, int]] = None,
+                 stolen: bool = False):
+        self.seq = seq
+        self.cores = cores
+        self.comm_srcs = [] if comm_srcs is None else comm_srcs
+        self.mem_dep = mem_dep
+        self.stolen = stolen
 
     @property
     def replicated(self) -> bool:
         return len(self.cores) == 2
+
+    def __repr__(self) -> str:
+        return (f"Assignment(seq={self.seq}, cores={self.cores}, "
+                f"comm_srcs={self.comm_srcs}, mem_dep={self.mem_dep}, "
+                f"stolen={self.stolen})")
 
 
 @dataclass
@@ -156,8 +183,14 @@ class Partitioner:
                   committed_seq: int = 0) -> List[Assignment]:
         """Assign every instruction in *batch* and update global state.
 
+        Two passes: the pluggable :meth:`_assign_pass` picks one core
+        per instruction, then :meth:`_replicate_emit_pass` decides
+        replication, works out communication and memory dependences,
+        and updates the writer maps, in one forward walk.
+
         Args:
-            batch: Records to partition, in dynamic order.
+            batch: Records to partition, in dynamic order.  None of them
+                may have committed (every ``seq >= committed_seq``).
             committed_seq: The global commit frontier — values produced
                 by instructions older than this are architecturally
                 visible on both cores and never need communication.
@@ -169,8 +202,7 @@ class Partitioner:
         self._committed_seq = committed_seq
         self._last_steals.clear()
         cores = self._assign_pass(batch)
-        replicated = self._replication_pass(batch, cores)
-        return self._emit_pass(batch, cores, replicated)
+        return self._replicate_emit_pass(batch, cores)
 
     # -- pass 1: core assignment --------------------------------------
 
@@ -189,197 +221,207 @@ class Partitioner:
         params = self.params
         weights = self.weights
         recent = params.affinity_recent
-        balance = params.balance_factor
+        threshold = params.balance_factor * 40.0
         load = self._load
+        reg_writer = self._reg_writer
+        mem_pc_core = self._mem_pc_core
+        store_pc_core = self._store_pc_core
+        pair_map = self._pair_map
+        committed = self._committed_seq
+        steals = self._last_steals
         cores: List[int] = []
         # Intra-batch overlay of writer knowledge (reg -> (core, seq)).
         local_writer: Dict[int, Tuple[int, int]] = {}
 
-        committed = self._committed_seq
-
-        def producer_of(src: int) -> Optional[Tuple[int, int]]:
-            producer = local_writer.get(src)
-            if producer is not None:
-                return producer
-            entry = self._reg_writer.get(src)
-            if entry is not None and entry.seq >= committed \
-                    and len(entry.cores) == 1:
-                return (next(iter(entry.cores)), entry.seq)
-            return None
-
-        steals = self._last_steals
         for offset, record in enumerate(batch):
             seq = record.seq
-            # Closest in-flight producer (register chain).
-            closest: Optional[Tuple[int, int]] = None
+            op = record.op_class
+            # Closest in-flight producer (register chain); -1: none.
+            closest_core = closest_seq = -1
             for src in record.srcs:
-                producer = producer_of(src)
-                if producer is not None and (
-                        closest is None or producer[1] > closest[1]):
-                    closest = producer
+                producer = local_writer.get(src)
+                if producer is not None:
+                    producer_core, producer_seq = producer
+                else:
+                    entry = reg_writer.get(src)
+                    if entry is None or entry.seq < committed:
+                        continue
+                    entry_cores = entry.cores
+                    if len(entry_cores) != 1:
+                        continue
+                    producer_core = 0 if 0 in entry_cores else 1
+                    producer_seq = entry.seq
+                if producer_seq > closest_seq:
+                    closest_core = producer_core
+                    closest_seq = producer_seq
             # Learned memory pairing: a load previously caught depending
             # on some store PC follows that store's core (addresses are
             # unknown at partition time; this PC pair table is trained
             # by dependence violations).
             pair_core: Optional[int] = None
-            if record.is_load:
-                partners = self._pair_map.get(record.pc)
+            if op is _LOAD:
+                partners = pair_map.get(record.pc)
                 if partners:
                     for store_pc, _confidence in sorted(
                             partners.items(), key=lambda kv: -kv[1]):
-                        pair_core = self._store_pc_core.get(store_pc)
+                        pair_core = store_pc_core.get(store_pc)
                         if pair_core is not None:
                             break
 
+            is_memory = op is _LOAD or op is _STORE
             imbalance = load[0] - load[1]  # positive: core 0 overloaded
             lighter = 0 if imbalance <= 0 else 1
             if pair_core is not None:
                 core = pair_core
-            elif closest is not None and seq - closest[1] <= recent:
-                core = closest[0]
+            elif closest_seq >= 0 and seq - closest_seq <= recent:
+                core = closest_core
             else:
-                sticky = (self._mem_pc_core.get(record.pc)
-                          if record.is_memory else None)
+                sticky = mem_pc_core.get(record.pc) if is_memory else None
                 if sticky is not None:
                     # Keep each static memory site next to the L1D that
                     # holds its lines.
                     core = sticky
-                elif closest is not None:
+                elif closest_seq >= 0:
                     # Distant producer: slack edge — balance decides
                     # unless the system is already even.
-                    threshold = balance * 40.0
                     if abs(imbalance) < threshold:
-                        core = closest[0]
+                        core = closest_core
                     else:
                         core = lighter
-                        if core != closest[0]:
+                        if core != closest_core:
                             steals.add(offset)
                 else:
                     core = lighter
 
             cores.append(core)
-            load[core] += weights[record.op_class]
+            load[core] += weights[op]
             if record.dst is not None:
                 local_writer[record.dst] = (core, seq)
-            if record.is_memory:
-                self._mem_pc_core[record.pc] = core
-                if record.is_store:
-                    self._store_pc_core[record.pc] = core
+            if is_memory:
+                mem_pc_core[record.pc] = core
+                if op is _STORE:
+                    store_pc_core[record.pc] = core
         # Decay the running load so ancient history does not swamp the
         # balance signal.
         load[0] *= 0.9
         load[1] *= 0.9
         return cores
 
-    # -- pass 2: replication ------------------------------------------
+    # -- pass 2: replication + emission --------------------------------
 
-    def _replication_pass(self, batch: Sequence[TraceRecord],
-                          cores: List[int]) -> Set[int]:
-        """Offsets (into *batch*) of instructions to replicate."""
-        if not self.params.replication:
-            return set()
-        max_weight = self.params.replication_max_weight
-        weights = self.weights
+    def _replicate_emit_pass(self, batch: Sequence[TraceRecord],
+                             cores: List[int]) -> List[Assignment]:
+        """Replicate, wire and record each instruction, in order.
 
-        # Consumer cores per batch offset (who reads my value, and where).
-        consumer_cores: List[Set[int]] = [set() for _ in batch]
-        producer_of: Dict[int, int] = {}   # reg -> batch offset
-        for offset, record in enumerate(batch):
-            for src in record.srcs:
-                producer = producer_of.get(src)
-                if producer is not None:
-                    consumer_cores[producer].add(cores[offset])
-            if record.dst is not None:
-                producer_of[record.dst] = offset
+        A cheap instruction whose value is read on both cores, and which
+        needs at most one of its own source values seeded across the
+        fabric, runs on both cores.  Whether a source is free (committed,
+        or produced by a replica) is read straight from the register
+        writer map: in a forward walk the map holds, for every source,
+        the latest producer before the current instruction — the batch's
+        own, once emitted, else the one from an earlier batch.
+        """
+        params = self.params
+        committed = self._committed_seq
+        reg_writer = self._reg_writer
+        mem_writer = self._mem_writer
+        journal_append = self._journal.append
+        steals = self._last_steals
+        count = len(batch)
 
-        replicated: Set[int] = set()
-        for offset, record in enumerate(batch):
-            if record.dst is None or record.is_control or record.is_memory:
-                continue
-            if weights[record.op_class] > max_weight:
-                continue
-            if consumer_cores[offset] != {0, 1}:
-                continue
-            # Replication is profitable when at most one source value has
-            # to be *seeded* across the fabric: the replica then saves the
-            # (repeated) communication of this instruction's own value.
-            # Sources available on both cores — committed state, values
-            # produced by replicas — are free.
-            seed_cost = 0
-            for src in record.srcs:
-                producer_offset = producer_of_upto(producer_of, batch,
-                                                   offset, src)
-                if not self._available_both(src, replicated,
-                                            producer_offset):
-                    seed_cost += 1
-            if seed_cost <= 1:
-                replicated.add(offset)
-        return replicated
+        # Consumer cores per batch offset, as a mask (bit c: the value
+        # is read on core c).  Only replication needs them.
+        consumers = [0] * count
+        replicable: Set[OpClass] = set()
+        if params.replication:
+            max_weight = params.replication_max_weight
+            replicable = {op for op, weight in self.weights.items()
+                          if weight <= max_weight
+                          and op not in (_LOAD, _STORE, _BRANCH, _JUMP)}
+            latest: Dict[int, int] = {}   # reg -> batch offset
+            for offset, record in enumerate(batch):
+                bit = 1 << cores[offset]
+                for src in record.srcs:
+                    producer = latest.get(src)
+                    if producer is not None:
+                        consumers[producer] |= bit
+                if record.dst is not None:
+                    latest[record.dst] = offset
 
-    def _available_both(self, src: int, replicated: Set[int],
-                        producer_offset: Optional[int]) -> bool:
-        if producer_offset is not None:
-            return producer_offset in replicated
-        entry = self._reg_writer.get(src)
-        if entry is None or entry.seq < self._committed_seq:
-            return True  # committed / live-in state: visible everywhere
-        return entry.cores == BOTH_CORES
-
-    # -- pass 3: emission ----------------------------------------------
-
-    def _emit_pass(self, batch: Sequence[TraceRecord], cores: List[int],
-                   replicated: Set[int]) -> List[Assignment]:
         assignments: List[Assignment] = []
-        stats = self.stats
+        append = assignments.append
+        on_core = [0, 0]
+        replicated = comm_values = cross_mem_deps = 0
         for offset, record in enumerate(batch):
             seq = record.seq
-            if offset in replicated:
-                my_cores: Tuple[int, ...] = (0, 1)
+            op = record.op_class
+            srcs = record.srcs
+            core = cores[offset]
+            replicate = False
+            if consumers[offset] == 3 and op in replicable:
+                # Replication is profitable when at most one source value
+                # has to be *seeded* across the fabric: the replica then
+                # saves the (repeated) communication of this
+                # instruction's own value.
+                seed_cost = 0
+                for src in srcs:
+                    entry = reg_writer.get(src)
+                    if entry is not None and entry.seq >= committed \
+                            and entry.cores != BOTH_CORES:
+                        seed_cost += 1
+                replicate = seed_cost <= 1
+            if replicate:
+                my_cores = _TWO_CORES
+                core_set = BOTH_CORES
+                replicated += 1
             else:
-                my_cores = (cores[offset],)
-            assignment = Assignment(seq=seq, cores=my_cores,
-                                    stolen=offset in self._last_steals)
+                my_cores = _ONE_CORE[core]
+                core_set = _CORE_SET[core]
+                on_core[core] += 1
 
             # Source communication needs (committed values are visible
-            # everywhere and never cross the fabric).
-            committed = self._committed_seq
-            for src in set(record.srcs):
-                entry = self._reg_writer.get(src)
+            # everywhere and never cross the fabric).  Wiring follows
+            # set order, so a repeated source is communicated once.
+            comm_srcs: List[Tuple[int, int]] = []
+            for src in (set(srcs) if len(srcs) > 1 else srcs):
+                entry = reg_writer.get(src)
                 if entry is None or entry.seq < committed:
                     continue
-                for core in my_cores:
-                    if core not in entry.cores:
-                        assignment.comm_srcs.append((entry.seq, core))
-            # Cross-core memory dependence (loads only; same-core pairs
-            # are handled by the core's own store forwarding).
-            if record.is_load and len(my_cores) == 1:
-                entry = self._mem_writer.get(record.mem_addr)
+                entry_cores = entry.cores
+                for dest in my_cores:
+                    if dest not in entry_cores:
+                        comm_srcs.append((entry.seq, dest))
+            comm_values += len(comm_srcs)
+            # Cross-core memory dependence (loads only, never replicated;
+            # same-core pairs are handled by the core's own store
+            # forwarding).
+            mem_dep = None
+            if op is _LOAD:
+                entry = mem_writer.get(record.mem_addr)
                 if entry is not None and entry.seq >= committed \
-                        and my_cores[0] not in entry.cores:
-                    assignment.mem_dep = (entry.seq, entry.pc)
-                    stats.cross_mem_deps += 1
+                        and core not in entry.cores:
+                    mem_dep = (entry.seq, entry.pc)
+                    cross_mem_deps += 1
 
             # Update writer maps (journaled for rewind).
-            if record.dst is not None:
-                self._journal.append(
-                    ("reg", seq, record.dst,
-                     self._reg_writer.get(record.dst)))
-                self._reg_writer[record.dst] = WriterEntry(
-                    seq=seq, cores=frozenset(my_cores), pc=record.pc)
-            if record.is_store:
-                self._journal.append(
-                    ("mem", seq, record.mem_addr,
-                     self._mem_writer.get(record.mem_addr)))
-                self._mem_writer[record.mem_addr] = WriterEntry(
-                    seq=seq, cores=frozenset(my_cores), pc=record.pc)
+            dst = record.dst
+            if dst is not None:
+                journal_append(("reg", seq, dst, reg_writer.get(dst)))
+                reg_writer[dst] = WriterEntry(seq, core_set, record.pc)
+            if op is _STORE:
+                addr = record.mem_addr
+                journal_append(("mem", seq, addr, mem_writer.get(addr)))
+                mem_writer[addr] = WriterEntry(seq, core_set, record.pc)
+            append(Assignment(seq, my_cores, comm_srcs, mem_dep,
+                              offset in steals))
 
-            stats.assigned += 1
-            for core in my_cores:
-                stats.on_core[core] += 1
-            if len(my_cores) == 2:
-                stats.replicated += 1
-            stats.comm_values += len(assignment.comm_srcs)
-            assignments.append(assignment)
+        stats = self.stats
+        stats.assigned += count
+        stats.on_core[0] += on_core[0] + replicated
+        stats.on_core[1] += on_core[1] + replicated
+        stats.replicated += replicated
+        stats.comm_values += comm_values
+        stats.cross_mem_deps += cross_mem_deps
         return assignments
 
     # ------------------------------------------------------------------
@@ -436,19 +478,3 @@ class Partitioner:
             for key in stale:
                 del target[key]
 
-
-def producer_of_upto(producer_of: Dict[int, int], batch, offset: int,
-                     src: int) -> Optional[int]:
-    """Batch offset of the most recent producer of *src* before *offset*.
-
-    ``producer_of`` maps each register to its *latest* producer in the
-    whole batch; this helper filters out producers at or after *offset*
-    by rescanning backwards only when needed.
-    """
-    candidate = producer_of.get(src)
-    if candidate is None or candidate < offset:
-        return candidate
-    for earlier in range(offset - 1, -1, -1):
-        if batch[earlier].dst == src:
-            return earlier
-    return None

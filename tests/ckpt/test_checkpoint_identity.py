@@ -10,11 +10,13 @@ For every machine, over random programs:
   oracle (the whole suite already runs with ``REPRO_CPISTACK_CHECK``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.corefusion.machine import CoreFusionMachine
 from repro.fgstp.adaptive import AdaptiveFgStpMachine
-from repro.fgstp.orchestrator import FgStpMachine
+from repro.fgstp.orchestrator import CHECKPOINT_STATE_VERSION, FgStpMachine
 from repro.uarch.params import core_config
 from repro.uarch.pipeline.machine import SingleCoreMachine
 from repro.workloads.generator import generate_trace
@@ -146,3 +148,31 @@ def test_resume_rejects_foreign_checkpoint():
     with pytest.raises(CheckpointMismatch):
         build("single", base).run(trace, workload="gcc", warmup=300,
                                   resume_from=checkpoint)
+
+
+@pytest.mark.parametrize("stale_suffix", (
+    "",                                          # written before versions
+    f"|state=v{CHECKPOINT_STATE_VERSION - 1}",   # an older layout
+))
+def test_fgstp_resume_rejects_another_state_layout(stale_suffix):
+    """A checkpoint pickled under another layout of the Fg-STP state is
+    refused before anything is unpickled, so the run falls back to a
+    cold start instead of resuming from half-restored state."""
+    from repro.ckpt.state import CheckpointMismatch
+
+    base = core_config("small")
+    trace = generate_trace("gcc", 2000, 1)
+    sink = CapturingSink()
+    build("fgstp", base, checkpoint_interval=500, checkpoint_sink=sink) \
+        .run(trace, workload="gcc", warmup=400)
+    assert sink.saved
+    checkpoint = sink.saved[-1][1]
+    current = build("fgstp", base).checkpoint_params_key()
+    assert checkpoint.params_key == current
+    assert current.endswith(f"|state=v{CHECKPOINT_STATE_VERSION}")
+    stale = dataclasses.replace(
+        checkpoint,
+        params_key=current.rsplit("|state=", 1)[0] + stale_suffix)
+    with pytest.raises(CheckpointMismatch):
+        build("fgstp", base).run(trace, workload="gcc", warmup=400,
+                                 resume_from=stale)

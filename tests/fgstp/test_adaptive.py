@@ -58,3 +58,20 @@ def test_switch_penalty_counted():
                                    reconfigure_penalty=100)
     result = machine.run(trace)
     assert result.extra["switches"] >= 0
+
+
+@pytest.mark.parametrize("length,warmup", [(5000, 0), (5000, 1200),
+                                           (4100, 300), (900, 500)])
+def test_regions_are_dense_from_zero(length, warmup):
+    # The sampling run slices each region's prefix as a trace of its
+    # own, which is only valid because every region is re-sequenced.
+    trace = generate_trace("mcf", length)
+    machine = AdaptiveFgStpMachine(small_core_config(),
+                                   sample_instructions=400,
+                                   region_instructions=1500)
+    regions = machine._regions(trace, warmup)
+    assert regions
+    for region_trace, region_warmup in regions:
+        assert [record.seq for record in region_trace] \
+            == list(range(len(region_trace)))
+        assert region_warmup < len(region_trace)
