@@ -102,37 +102,32 @@ def fused_params(base: CoreParams,
     )
 
 
-class CoreFusionMachine:
+class CoreFusionMachine(SingleCoreMachine):
     """Two *base* cores fused, running one thread.
+
+    A :class:`SingleCoreMachine` over :func:`fused_params` with two
+    clusters, each limited to the base core's issue width.
 
     Args:
         base: The constituent core configuration (the same one the
             single-core baseline and each Fg-STP core use).
         frontend_overhead: Extra mispredict-redirect cycles from the
-            fusion crossbars — two added stages at fetch merge plus two
-            at the rename crossbar (ISCA'07 model; default 4).
+            fusion crossbars (default :func:`default_frontend_overhead`).
         operand_crossbar_latency: Cycles for a value to cross between the
-            fused back-ends (paper-family default: 2).
-        commit_hook: Retirement-stream observer ``hook(uop, cycle)``
-            forwarded to the fused core (see
-            :class:`~repro.uarch.pipeline.machine.SingleCoreMachine`).
-        tracer / metrics: Observability attachments, forwarded to the
-            fused core (same zero-cost contract as ``commit_hook``).
+            fused back-ends (default :func:`default_crossbar_latency`).
+        lsq_crossing_penalty: Extra cycles on every data-cache access
+            (default :func:`default_lsq_penalty`).
+        **run_options: Run and observer options of
+            :class:`~repro.uarch.pipeline.kernel.MachineKernel`
+            (``max_cycles``, ``commit_hook``, ``tracer``, ...).
     """
 
     def __init__(self, base: CoreParams,
                  frontend_overhead: Optional[int] = None,
                  operand_crossbar_latency: Optional[int] = None,
                  lsq_crossing_penalty: Optional[int] = None,
-                 max_cycles: int = 200_000_000,
-                 watchdog_window: Optional[int] = None,
-                 skip_ahead: Optional[bool] = None,
-                 commit_hook=None, tracer=None, metrics=None,
-                 checkpoint_interval: Optional[int] = None,
-                 checkpoint_sink=None):
+                 **run_options):
         self.base = base
-        self.tracer = tracer
-        self.metrics = metrics
         self.frontend_overhead = (
             default_frontend_overhead(base) if frontend_overhead is None
             else frontend_overhead)
@@ -142,66 +137,21 @@ class CoreFusionMachine:
         self.lsq_crossing_penalty = (
             default_lsq_penalty(base) if lsq_crossing_penalty is None
             else lsq_crossing_penalty)
-        self.params = fused_params(base, self.frontend_overhead,
-                                   self.lsq_crossing_penalty)
-        self._machine = SingleCoreMachine(
-            self.params,
+        super().__init__(
+            fused_params(base, self.frontend_overhead,
+                         self.lsq_crossing_penalty),
             num_clusters=2,
             cross_cluster_latency=self.operand_crossbar_latency,
             cluster_issue_width=base.issue_width,
             machine_label="corefusion",
-            max_cycles=max_cycles,
-            watchdog_window=watchdog_window,
-            skip_ahead=skip_ahead,
-            commit_hook=commit_hook,
-            tracer=tracer, metrics=metrics,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_sink=checkpoint_sink)
-
-    @property
-    def skip_ahead(self) -> bool:
-        return self._machine.skip_ahead
-
-    @skip_ahead.setter
-    def skip_ahead(self, value: bool) -> None:
-        self._machine.skip_ahead = bool(value)
-
-    @property
-    def skipped_cycles(self) -> int:
-        """Cycles the last run bridged via skip-ahead (diagnostic)."""
-        return self._machine.skipped_cycles
-
-    @property
-    def hierarchy(self):
-        """The fused machine's (banked, doubled) cache hierarchy."""
-        return self._machine.hierarchy
-
-    @property
-    def checkpoint_interval(self):
-        return self._machine.checkpoint_interval
-
-    @checkpoint_interval.setter
-    def checkpoint_interval(self, value) -> None:
-        self._machine.checkpoint_interval = value
-
-    @property
-    def checkpoint_sink(self):
-        return self._machine.checkpoint_sink
-
-    @checkpoint_sink.setter
-    def checkpoint_sink(self, value) -> None:
-        self._machine.checkpoint_sink = value
-
-    def checkpoint_params_key(self) -> str:
-        """Configuration identity — the fused machine's, since that is
-        what actually checkpoints."""
-        return self._machine.checkpoint_params_key()
+            **run_options)
 
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0, resume_from=None) -> SimResult:
-        """Simulate *trace* on the fused pair."""
-        result = self._machine.run(trace, workload=workload, warmup=warmup,
-                                   resume_from=resume_from)
+        """Simulate *trace* on the fused pair (see
+        :meth:`SingleCoreMachine.run`)."""
+        result = super().run(trace, workload=workload, warmup=warmup,
+                             resume_from=resume_from)
         result.config = self.base.name
         result.extra["fusion"] = {
             "frontend_overhead": self.frontend_overhead,

@@ -36,15 +36,9 @@ paper-family methodology):
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ckpt.manager import Checkpointer
-from ..ckpt.state import (CheckpointCorruption, MachineCheckpoint,
-                          dumps_state, loads_state, trace_fingerprint)
-from ..integrity.errors import (SimulationError, SimulationHang,
-                                SimulationLimit)
-from ..integrity.forensics import uop_brief
-from ..integrity.watchdog import Watchdog
+from ..ckpt.state import MachineCheckpoint, dumps_state
 from ..isa.opcodes import OpClass
 from ..isa.program import INSTRUCTION_BYTES
 from ..stats.cpistack import CPIStack, maybe_validate
@@ -53,8 +47,9 @@ from ..trace.record import TraceRecord
 from ..uarch.branch.btb import FrontEndPredictor
 from ..uarch.cache.hierarchy import CacheHierarchy, make_shared_l2
 from ..uarch.params import CoreParams
-from ..uarch.pipeline.core import NO_EVENT, CycleCore, skip_ahead_enabled
-from ..uarch.pipeline.machine import RECENT_COMMITS
+from ..uarch.pipeline.core import CycleCore
+from ..uarch.pipeline.kernel import (  # noqa: F401 (re-exported)
+    CHECKPOINT_STATE_VERSION, MachineKernel)
 from ..uarch.pipeline.uop import (
     COMMITTED,
     COMPLETED,
@@ -65,28 +60,25 @@ from ..uarch.pipeline.uop import (
     Uop,
     ValueTag,
 )
-from ..uarch.warmup import split_warmup, warm_state
+from ..uarch.warmup import warm_state
 from .comm import InterCoreQueue
 from .params import FgStpParams
 from .partitioner import Assignment, Partitioner
 from .specdep import DependencePredictor
 
-#: Dynamic (per-run) scalar/container state captured in a checkpoint,
-#: alongside the stateful components (cores, hierarchies, queues, ...).
+#: The state a checkpoint captures besides the kernel's own: the
+#: stateful components, then the dynamic (per-run) scalars and
+#: containers.  A change here changes the pickled layout: bump
+#: ``CHECKPOINT_STATE_VERSION``.
 _FGSTP_STATE = (
-    "_fetch_cursor", "_global_next", "_next_uid", "_batch", "_feed",
+    "hierarchies", "cores", "predictor", "partitioner", "dep_predictor",
+    "queues", "_fetch_cursor", "_next_uid", "_batch", "_feed",
     "_live", "_copies", "_comm_tags", "_send_map", "_watch",
     "_last_store", "_stall_seq", "_fetch_resume_at", "_icache_line",
     "_icache_ready", "_pending_violations", "_violation_store_pc",
-    "_now", "_last_retire_prune", "squashes", "squashed_uops",
-    "mispredict_stall_cycles", "window_stall_cycles", "skipped_cycles",
+    "_last_retire_prune", "squashes", "squashed_uops",
+    "mispredict_stall_cycles", "window_stall_cycles",
 )
-
-#: Layout version of the pickled state in a checkpoint.  Bump it whenever
-#: a component's pickled shape changes, so an older checkpoint is refused
-#: as a mismatch instead of being half-unpickled.  (v2: slotted partitioner
-#: writer entries.)
-CHECKPOINT_STATE_VERSION = 2
 
 _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
@@ -94,72 +86,48 @@ _BRANCH = OpClass.BRANCH
 _JUMP = OpClass.JUMP
 
 
-class FgStpMachine:
+class FgStpMachine(MachineKernel):
     """Two *base* cores reconfigured for Fg-STP execution.
 
     Args:
         base: Configuration of each constituent core (identical to the
             single-core baseline and to each half of Core Fusion).
         fgstp: Mechanism parameters (window, queues, speculation, ...).
-        max_cycles: Safety valve against model deadlocks.
-        watchdog_window: Forward-progress hang window in cycles
-            (``None`` = environment default, ``0`` = disabled; see
-            :mod:`repro.integrity.watchdog`).
-        commit_hook: Optional observer called as ``hook(uop, cycle)``
-            once per *architectural* retirement, in global sequence
-            order — for a replicated instruction it fires when the last
-            replica clears the commit gate.  ``None`` costs nothing.
-        tracer: Optional :class:`~repro.obs.tracer.PipelineTracer`.
-            Records every retired uop (replicas included, each tagged
-            with its core), squash/steal/watchdog instants, and — via
-            the value queues — inter-core send/recv events.  Same
-            zero-cost contract as ``commit_hook``.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            both cache hierarchies register into; reset after warm-up,
-            filled with run statistics at the end.
+        policy: Partition policy name (default ``chain``; see
+            :mod:`repro.fgstp.policies`).
+        **run_options: ``max_cycles``, ``watchdog_window``,
+            ``skip_ahead``, ``commit_hook``, ``tracer``, ``metrics``,
+            ``checkpoint_interval`` and ``checkpoint_sink``; see
+            :class:`~repro.uarch.pipeline.kernel.MachineKernel`.  Here
+            the commit hook fires once per *architectural* retirement,
+            in global sequence order -- for a replicated instruction
+            when the last replica clears the commit gate.  The tracer
+            records every retired uop (replicas included, each tagged
+            with its core), squash/steal/watchdog instants, and -- via
+            the value queues -- inter-core send/recv events.  Both cache
+            hierarchies register into the metrics registry.
     """
+
+    hang_detail = "intercore"
 
     def __init__(self, base: CoreParams,
                  fgstp: Optional[FgStpParams] = None,
-                 max_cycles: int = 200_000_000,
                  policy: Optional[str] = None,
-                 watchdog_window: Optional[int] = None,
-                 skip_ahead: Optional[bool] = None,
-                 commit_hook=None, tracer=None, metrics=None,
-                 checkpoint_interval: Optional[int] = None,
-                 checkpoint_sink=None):
+                 **run_options):
+        super().__init__("fgstp", base.name, **run_options)
         self.base = base
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoint_sink = checkpoint_sink
-        self.commit_hook = commit_hook
-        self.tracer = tracer
-        self.metrics = metrics
         self.fgstp = fgstp or FgStpParams()
-        self.max_cycles = max_cycles
-        self.skip_ahead = skip_ahead_enabled(skip_ahead)
-        #: Diagnostic: cycles the last run bridged via skip-ahead (not
-        #: part of the SimResult, which is bit-identical either way).
-        self.skipped_cycles = 0
         self.policy_name = policy or "chain"
-        self.watchdog = Watchdog(watchdog_window)
-        self._recent_commits: Deque[Uop] = deque(maxlen=RECENT_COMMITS)
 
         shared_l2 = make_shared_l2(base)
         self.hierarchies = (CacheHierarchy(base, shared_l2),
                             CacheHierarchy(base, shared_l2))
         self.cores = (
-            CycleCore(base, self.hierarchies[0], name="fgstp-core0",
-                      on_complete=self._on_complete,
-                      on_commit=self._on_commit),
-            CycleCore(base, self.hierarchies[1], name="fgstp-core1",
-                      on_complete=self._on_complete,
-                      on_commit=self._on_commit),
+            CycleCore(base, self.hierarchies[0], name="fgstp-core0"),
+            CycleCore(base, self.hierarchies[1], name="fgstp-core1"),
         )
         self.predictor = FrontEndPredictor(base.branch)
         self.partitioner = Partitioner(self.fgstp)
-        if self.policy_name != "chain":
-            from .policies import policy_by_name, set_policy
-            set_policy(self.partitioner, policy_by_name(self.policy_name))
         self.dep_predictor = DependencePredictor()
         self.queues = (
             InterCoreQueue(self.fgstp.queue_latency,
@@ -167,18 +135,11 @@ class FgStpMachine:
             InterCoreQueue(self.fgstp.queue_latency,
                            self.fgstp.queue_bandwidth, name="q1to0"),
         )
-        if tracer is not None:
-            for src_core, queue in enumerate(self.queues):
-                queue.tracer = tracer
-                queue.trace_core = src_core
-        if metrics is not None:
-            for hierarchy in self.hierarchies:
-                metrics.attach(hierarchy)
+        self._attach()
 
         # Dynamic state (reset per run).
         self._trace: Sequence[TraceRecord] = ()
         self._fetch_cursor = 0
-        self._global_next = 0
         self._next_uid = 0
         self._batch: List[TraceRecord] = []
         self._feed: Tuple[deque, deque] = (deque(), deque())
@@ -194,7 +155,6 @@ class FgStpMachine:
         self._icache_ready = 0
         self._pending_violations: List[Uop] = []
         self._violation_store_pc: Dict[int, int] = {}
-        self._now = 0
         self._last_retire_prune = 0
         # Counters.
         self.squashes = 0
@@ -203,134 +163,38 @@ class FgStpMachine:
         self.window_stall_cycles = 0
 
     # ------------------------------------------------------------------
-    # Run loop
+    # Cycle policy
     # ------------------------------------------------------------------
 
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0,
             resume_from: Optional[MachineCheckpoint] = None) -> SimResult:
-        """Simulate *trace* on the Fg-STP pair.
+        """Simulate *trace* on the Fg-STP pair (see
+        :meth:`MachineKernel.run`)."""
+        return super().run(trace, workload, warmup, resume_from)
 
-        Args:
-            trace: Dynamic instruction stream (dense ``seq`` from 0).
-            workload: Name recorded in the result.
-            warmup: Leading instructions used to functionally warm caches
-                and the branch predictor (untimed).
-            resume_from: Optional :class:`MachineCheckpoint` from an
-                earlier run over the same trace/warmup/configuration;
-                simulation restarts from the snapshot, bit-identical to
-                a straight-through run.
+    def _start(self, trace: Sequence[TraceRecord]) -> None:
+        self._trace = trace
 
-        Raises:
-            SimulationLimit: if the run exceeds ``max_cycles``.
-            SimulationHang: if the watchdog sees no commit for a whole
-                window while the run is incomplete.
-            PipelineDrainError: if the run ends with uops in flight.
-            CheckpointMismatch / CheckpointCorruption: if *resume_from*
-                does not belong to this run or fails to deserialize.
-            (All but the checkpoint errors are ``SimulationError``/
-            ``RuntimeError`` subclasses and carry partial statistics
-            plus a pipeline snapshot.)
-        """
-        if not trace:
-            return SimResult("fgstp", self.base.name, workload, 0, 0)
-        original_trace = trace
-        if warmup:
-            prefix, trace = split_warmup(trace, warmup)
-            if resume_from is None:
-                warm_state(prefix, self.hierarchies[0], self.predictor,
-                           line_bytes=self.base.l1i.line_bytes)
-                warm_state(prefix, self.hierarchies[1], None,
-                           line_bytes=self.base.l1i.line_bytes)
-                if self.metrics is not None:
-                    # One reset covers registry metrics and both
-                    # attached hierarchies — warm-up never leaks into
-                    # measurements.
-                    self.metrics.reset()
-        if resume_from is None:
-            self._trace = trace
-            cycle = 0
-            self.watchdog.reset()
-            self._recent_commits.clear()
-            self.skipped_cycles = 0
-        else:
-            cycle = self._install_checkpoint(resume_from, trace,
-                                             original_trace, warmup)
-        ckpt = Checkpointer.maybe(self, "fgstp", workload, original_trace,
-                                  warmup, start=self._global_next)
-        try:
-            return self._run_loop(workload, cycle, len(trace), ckpt)
-        except SimulationError as error:
-            if ckpt is not None:
-                ckpt.anchor(error)
-            raise
+    def _warm(self, prefix: Sequence[TraceRecord]) -> None:
+        warm_state(prefix, self.hierarchies[0], self.predictor,
+                   line_bytes=self.base.l1i.line_bytes)
+        warm_state(prefix, self.hierarchies[1], None,
+                   line_bytes=self.base.l1i.line_bytes)
 
-    def _run_loop(self, workload: str, cycle: int, total: int,
-                  ckpt: Optional[Checkpointer]) -> SimResult:
-        watchdog = self.watchdog
-        tracer = self.tracer
-        skip = self.skip_ahead
-        while self._global_next < total:
-            if ckpt is not None and ckpt.due(self._global_next):
-                ckpt.take(cycle, self._global_next,
-                          lambda c=cycle: self._checkpoint_payload(c))
-            if cycle > self.max_cycles:
-                if tracer is not None:
-                    tracer.instant("watchdog", cycle,
-                                   detail=f"max_cycles {self.max_cycles} "
-                                          f"exceeded")
-                raise SimulationLimit(
-                    f"fgstp: exceeded {self.max_cycles} cycles with "
-                    f"{self._global_next}/{total} committed "
-                    f"(heads: {self.cores[0].rob_head!r}, "
-                    f"{self.cores[1].rob_head!r})",
-                    machine="fgstp", cycles=cycle,
-                    instructions=self._global_next, total=total,
-                    partial=self._partial_stats(cycle),
-                    snapshot=self.failure_snapshot(cycle))
-            if watchdog.expired(cycle, self._global_next):
-                busy = any(core.busy() for core in self.cores)
-                if tracer is not None:
-                    tracer.instant("watchdog", cycle,
-                                   detail=f"no commit for "
-                                          f"{watchdog.stalled_for(cycle)} "
-                                          f"cycles")
-                raise SimulationHang(
-                    f"fgstp: no commit for {watchdog.stalled_for(cycle)} "
-                    f"cycles at cycle {cycle} with "
-                    f"{self._global_next}/{total} committed "
-                    f"({'work in flight' if busy else 'frontend'})",
-                    machine="fgstp", cycles=cycle,
-                    instructions=self._global_next, total=total,
-                    detail="intercore" if busy else "frontend",
-                    partial=self._partial_stats(cycle),
-                    snapshot=self.failure_snapshot(cycle))
-            progress = self._cycle(cycle)
-            cycle += 1
-            if skip and not progress:
-                # Both cores, queues and the front end are stalled on
-                # known-future events: charge the intervening idle
-                # cycles in bulk and jump the clock (bit-identical to
-                # the naive loop — see _next_event's contract).
-                target = self._next_event(cycle - 1)
-                if target > cycle:
-                    count = target - cycle
-                    cause = self._frontend_cause(cycle)
-                    for core in self.cores:
-                        core.charge_idle_cycles(cycle, count,
-                                                frontend_cause=cause)
-                    self._charge_frontend_idle(cycle, count)
-                    self.skipped_cycles += count
-                    cycle = target
-        try:
-            for core in self.cores:
-                core.drain_check()
-        except SimulationError as error:
-            error.attach(machine="fgstp", cycles=cycle, total=total,
-                         partial=self._partial_stats(cycle),
-                         snapshot=self.failure_snapshot(cycle))
-            raise
-        return self._result(workload, cycle, total)
+    def _make_step(self):
+        return self._cycle
+
+    def _busy(self) -> bool:
+        return any(core.busy() for core in self.cores)
+
+    def _limit_context(self) -> str:
+        return (f" (heads: {self.cores[0].rob_head!r}, "
+                f"{self.cores[1].rob_head!r})")
+
+    def _drain_check(self) -> None:
+        for core in self.cores:
+            core.drain_check()
 
     def _cycle(self, now: int) -> bool:
         """Simulate one cycle; True when anything made progress.
@@ -338,9 +202,8 @@ class FgStpMachine:
         A False return means the whole machine replayed an idle cycle
         (no delivery, commit, completion, issue, dispatch, feed push or
         front-end activity) — the precondition for the skip-ahead fast
-        path in :meth:`run`.
+        path of the kernel's run loop.
         """
-        self._now = now
         cores = self.cores
         core0, core1 = cores
         # 1. Queue deliveries wake consumers on the destination core.
@@ -412,7 +275,7 @@ class FgStpMachine:
             return "redirect"
         if now < self._icache_ready:
             return "fetch"
-        if self._fetch_cursor - self._global_next >= self.fgstp.window_size:
+        if self._fetch_cursor - self.committed >= self.fgstp.window_size:
             return "window"
         return "fetch"
 
@@ -428,10 +291,11 @@ class FgStpMachine:
         heaps and blame-flip boundaries (:meth:`CycleCore.next_event`),
         queue-head eligibility, feed-head partition latency, the
         redirect resume and I-cache fill cycles (both also
-        ``_frontend_cause`` boundaries), the watchdog expiry and the
-        ``max_cycles`` ceiling.  Chains that bottom out in none of
-        these (a genuine deadlock) are bounded by the watchdog, which
-        then fires at exactly the same cycle as under the naive loop.
+        ``_frontend_cause`` boundaries).  The kernel adds the watchdog
+        expiry and the ``max_cycles`` ceiling; chains that bottom out in
+        none of these (a genuine deadlock) are bounded by the watchdog,
+        which then fires at exactly the same cycle as under the naive
+        loop.
         """
         nxt = self.cores[0].next_event(now)
         bound = self.cores[1].next_event(now)
@@ -452,20 +316,19 @@ class FgStpMachine:
         fill = self._icache_ready
         if now < fill < nxt:
             nxt = fill
-        bound = self.watchdog.next_expiry()
-        if bound < nxt:
-            nxt = bound
-        if self.max_cycles + 1 < nxt:
-            nxt = self.max_cycles + 1
         return nxt
 
-    def _charge_frontend_idle(self, first: int, count: int) -> None:
-        """Replay *count* skipped cycles' front-end stall counters.
+    def _charge_idle(self, first: int, count: int) -> None:
+        """Replay *count* skipped cycles from *first* on both cores and
+        the front end's stall counters.
 
-        Mirrors :meth:`_global_fetch`'s gating order exactly; the
-        branch taken is constant across the skipped range because
-        every flip boundary is a :meth:`_next_event` bound.
+        The front end mirrors :meth:`_global_fetch`'s gating order
+        exactly; the branch taken is constant across the skipped range
+        because every flip boundary is a :meth:`_next_event` bound.
         """
+        cause = self._frontend_cause(first)
+        for core in self.cores:
+            core.charge_idle_cycles(first, count, frontend_cause=cause)
         if self._fetch_cursor >= len(self._trace):
             return
         if self._stall_seq is not None:
@@ -473,7 +336,7 @@ class FgStpMachine:
             return
         if first < self._fetch_resume_at or first < self._icache_ready:
             return
-        if self._fetch_cursor - self._global_next >= self.fgstp.window_size:
+        if self._fetch_cursor - self.committed >= self.fgstp.window_size:
             self.window_stall_cycles += count
 
     # ------------------------------------------------------------------
@@ -481,7 +344,7 @@ class FgStpMachine:
     # ------------------------------------------------------------------
 
     def _commit_gate(self, uop: Uop) -> bool:
-        return uop.seq == self._global_next
+        return uop.seq == self.committed
 
     def _on_commit(self, uop: Uop, cycle: int) -> None:
         if self.tracer is not None:
@@ -494,7 +357,7 @@ class FgStpMachine:
         if count <= 0:
             self._copies.pop(seq, None)
             self._live.pop(seq, None)
-            self._global_next = seq + 1
+            self.committed = seq + 1
             if self.commit_hook is not None:
                 self.commit_hook(uop, cycle)
         else:
@@ -621,7 +484,7 @@ class FgStpMachine:
         A False return is a pure stall replay (mispredict redirect,
         redirect/I-cache wait, or a full lookahead window) whose only
         side effect is the matching stall counter — exactly what
-        :meth:`_charge_frontend_idle` bulk-replays for skipped cycles.
+        :meth:`_charge_idle` bulk-replays for skipped cycles.
         """
         trace = self._trace
         cursor = self._fetch_cursor
@@ -635,14 +498,14 @@ class FgStpMachine:
             return False
         if now < self._fetch_resume_at or now < self._icache_ready:
             return False
-        if cursor - self._global_next >= self.fgstp.window_size:
+        if cursor - self.committed >= self.fgstp.window_size:
             self.window_stall_cycles += 1
             return False
 
         # Fetch stops at the fetch width, the window limit (the commit
         # frontier cannot move while fetching) or the trace end.
         limit = min(len(trace), cursor + 2 * self.base.fetch_width,
-                    self._global_next + self.fgstp.window_size)
+                    self.committed + self.fgstp.window_size)
         taken_budget = 2
         line_bytes = self.base.l1i.line_bytes
         hit_latency = self.base.l1i.hit_latency
@@ -703,7 +566,7 @@ class FgStpMachine:
             return
         self._batch = []
         assignments = self.partitioner.partition(
-            batch, committed_seq=self._global_next)
+            batch, committed_seq=self.committed)
         available_at = now + self.fgstp.partition_latency
         tracer = self.tracer
         live = self._live
@@ -824,18 +687,16 @@ class FgStpMachine:
     # ------------------------------------------------------------------
 
     def _maybe_prune(self) -> None:
-        if self._global_next - self._last_retire_prune >= 1024:
-            self.partitioner.retire(self._global_next)
-            self._last_retire_prune = self._global_next
+        if self.committed - self._last_retire_prune >= 1024:
+            self.partitioner.retire(self.committed)
+            self._last_retire_prune = self.committed
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
-    def checkpoint_params_key(self) -> str:
-        """Configuration identity for checkpoint compatibility checks."""
-        return (f"{self.base!r}|{self.fgstp!r}|{self.policy_name}"
-                f"|state=v{CHECKPOINT_STATE_VERSION}")
+    def _config_key(self) -> str:
+        return f"{self.base!r}|{self.fgstp!r}|{self.policy_name}"
 
     def _detach_observers(self) -> dict:
         """Strip the unpicklable observer hooks before serialization.
@@ -844,7 +705,7 @@ class FgStpMachine:
         machine (pickling them would drag the whole machine, trace and
         observers into the blob); queue tracer attachments and a
         non-default partition policy are closures.  All are reinstalled
-        by :meth:`_reattach_observers` / :meth:`_install_checkpoint`.
+        by :meth:`_reattach_observers` / :meth:`_attach`.
         """
         saved = {"callbacks": [], "queues": [], "assign": None}
         for core in self.cores:
@@ -872,54 +733,29 @@ class FgStpMachine:
         if saved["assign"] is not None:
             self.partitioner._assign_pass = saved["assign"]
 
-    def _checkpoint_payload(self, cycle: int) -> bytes:
-        """Pickle the machine's dynamic state in one blob (shared
-        object identity — cores↔hierarchies, uop graphs, queue
-        entries — survives because everything rides in one dict)."""
+    def _pickle_state(self, state: dict) -> bytes:
+        """Shared object identity -- cores<->hierarchies, uop graphs,
+        queue entries -- survives because everything rides in one
+        dict."""
         saved_trace = self._trace
         saved = self._detach_observers()
         self._trace = ()
         try:
-            state = {name: getattr(self, name) for name in _FGSTP_STATE}
-            state.update({
-                "hierarchies": self.hierarchies,
-                "cores": self.cores,
-                "predictor": self.predictor,
-                "partitioner": self.partitioner,
-                "dep_predictor": self.dep_predictor,
-                "queues": self.queues,
-                "watchdog": self.watchdog,
-                "recent_commits": self._recent_commits,
-                "cycle": cycle,
-            })
+            state.update({name: getattr(self, name) for name in _FGSTP_STATE})
             return dumps_state(state)
         finally:
             self._trace = saved_trace
             self._reattach_observers(saved)
 
-    def _install_checkpoint(self, checkpoint: MachineCheckpoint,
-                            measured_trace, original_trace,
-                            warmup: int) -> int:
-        """Adopt a checkpoint's state; returns the resume cycle."""
-        checkpoint.validate_for(
-            "fgstp", trace_fingerprint(original_trace), warmup,
-            self.checkpoint_params_key())
-        state = loads_state(checkpoint.payload)
-        try:
-            self.hierarchies = state["hierarchies"]
-            self.cores = state["cores"]
-            self.predictor = state["predictor"]
-            self.partitioner = state["partitioner"]
-            self.dep_predictor = state["dep_predictor"]
-            self.queues = state["queues"]
-            self.watchdog = state["watchdog"]
-            self._recent_commits = state["recent_commits"]
-            for name in _FGSTP_STATE:
-                setattr(self, name, state[name])
-            cycle = state["cycle"]
-        except KeyError as exc:
-            raise CheckpointCorruption(
-                f"checkpoint state is missing {exc}") from exc
+    def _adopt_state(self, state: dict, measured_trace) -> None:
+        for name in _FGSTP_STATE:
+            setattr(self, name, state[name])
+        self._trace = measured_trace
+        self._attach()
+
+    def _attach(self) -> None:
+        """Install what a checkpoint does not carry: the cores' callbacks,
+        a non-default partition policy, and the observers."""
         for core in self.cores:
             core.on_complete = self._on_complete
             core.on_commit = self._on_commit
@@ -933,39 +769,33 @@ class FgStpMachine:
         if self.metrics is not None:
             for hierarchy in self.hierarchies:
                 self.metrics.attach(hierarchy)
-        self._trace = measured_trace
-        return cycle
 
-    def _partial_stats(self, cycles: int) -> dict:
-        """Statistics accumulated up to a failure point (not validated —
-        the ledger is only complete for fully attributed cycles)."""
-        stack = CPIStack.merge_cores(
+    # ------------------------------------------------------------------
+    # Results
+    # ------------------------------------------------------------------
+
+    def _cpi_stack(self, cycles: int) -> CPIStack:
+        return CPIStack.merge_cores(
             (CPIStack(machine=core.name, cycles=cycles,
                       instructions=core.stats.committed,
                       width=self.base.commit_width,
                       slots=dict(core.stats.commit_slots))
              for core in self.cores),
-            machine="fgstp", instructions=self._global_next)
-        return {
-            "cycles": cycles,
-            "instructions": self._global_next,
-            "cpistack": stack.as_dict(),
-            "cores": [core.stats.as_dict() for core in self.cores],
-            "squashes": self.squashes,
-        }
+            machine="fgstp", instructions=self.committed)
 
-    def failure_snapshot(self, cycle: int) -> dict:
-        """JSON-able pipeline snapshot for crash forensics: both cores,
-        both value queues, partitioner/front-end state, and the last
-        committed instructions."""
+    def _partial_extra(self) -> dict:
+        return {"cores": [core.stats.as_dict() for core in self.cores],
+                "squashes": self.squashes}
+
+    def _snapshot_parts(self) -> dict:
+        """Both cores, both value queues and the partitioner/front-end
+        state."""
         return {
-            "machine": "fgstp",
-            "cycle": cycle,
             "cores": [core.snapshot() for core in self.cores],
             "queues": [queue.snapshot() for queue in self.queues],
             "frontend": {
                 "fetch_cursor": self._fetch_cursor,
-                "global_next": self._global_next,
+                "global_next": self.committed,
                 "trace_length": len(self._trace),
                 "window_size": self.fgstp.window_size,
                 "batch_pending": len(self._batch),
@@ -978,63 +808,39 @@ class FgStpMachine:
             "dep_predictor": self.dep_predictor.stats(),
             "live_seqs": len(self._live),
             "pending_sends": len(self._send_map),
-            "last_committed": [uop_brief(u) for u in self._recent_commits],
-            **({"trace_events": self.tracer.tail()}
-               if self.tracer is not None else {}),
         }
 
-    def _fill_metrics(self, cycles: int, total: int) -> None:
-        """Publish the run's statistics into the attached registry."""
-        metrics = self.metrics
-        metrics.gauge("sim.cycles").set(cycles)
-        metrics.gauge("sim.instructions").set(total)
-        metrics.gauge("sim.ipc").set(total / cycles if cycles else 0.0)
+    def _ingest_metrics(self, metrics) -> None:
         metrics.ingest("partition", self.partitioner.stats.as_dict())
         for queue in self.queues:
             metrics.ingest(f"queues.{queue.name}", queue.stats())
         metrics.counter("squashes").value = self.squashes
         metrics.counter("squashed_uops").value = self.squashed_uops
-        metrics.ingest("branch", {
-            "lookups": self.predictor.lookups,
-            "mispredictions": self.predictor.mispredictions,
-            "misprediction_rate": self.predictor.misprediction_rate,
-        })
+        metrics.ingest("branch", self.predictor.stats())
         for index, (core, hierarchy) in enumerate(
                 zip(self.cores, self.hierarchies)):
             metrics.ingest(f"core{index}", core.stats.as_dict())
             metrics.ingest(f"caches.core{index}", hierarchy.stats())
 
-    def _result(self, workload: str, cycles: int, total: int) -> SimResult:
-        if self.metrics is not None:
-            self._fill_metrics(cycles, total)
+    def _result(self, workload: str, cycles: int) -> SimResult:
         caches = {
             "core0": self.hierarchies[0].stats(),
             "core1": self.hierarchies[1].stats(),
         }
-        stack = maybe_validate(CPIStack.merge_cores(
-            (CPIStack(machine=core.name, cycles=cycles,
-                      instructions=core.stats.committed,
-                      width=self.base.commit_width,
-                      slots=dict(core.stats.commit_slots))
-             for core in self.cores),
-            machine="fgstp", instructions=total))
+        stack = maybe_validate(self._cpi_stack(cycles))
         return SimResult(
-            machine="fgstp",
-            config=self.base.name,
+            machine=self.machine_label,
+            config=self.config_name,
             workload=workload,
             cycles=cycles,
-            instructions=total,
+            instructions=self.committed,
             extra={
                 "partition": self.partitioner.stats.as_dict(),
                 "dep_predictor": self.dep_predictor.stats(),
                 "queues": {q.name: q.stats() for q in self.queues},
                 "squashes": self.squashes,
                 "squashed_uops": self.squashed_uops,
-                "branch": {
-                    "lookups": self.predictor.lookups,
-                    "mispredictions": self.predictor.mispredictions,
-                    "misprediction_rate": self.predictor.misprediction_rate,
-                },
+                "branch": self.predictor.stats(),
                 "caches": caches,
                 "cores": [core.stats.as_dict() for core in self.cores],
                 "stalls": {

@@ -146,28 +146,19 @@ def apply_chaos(machine: Any, spec: ChaosSpec, strict: bool = True) -> Any:
         # wrappers are closures, unpicklable by design) — except under
         # corrupt_checkpoint, whose whole point is exercising the
         # checkpoint write path.
-        for target in (machine, getattr(machine, "_machine", None)):
-            if target is not None:
-                target._chaos_kinds = (
-                    getattr(target, "_chaos_kinds", ()) + (spec.kind,))
+        machine._chaos_kinds = (
+            getattr(machine, "_chaos_kinds", ()) + (spec.kind,))
         # Fault wrappers count *calls* (one per simulated cycle for
         # queue delivery), so their trigger points are cycle-loop
         # dependent: force the naive per-cycle loop so an injected
         # fault fires at the same cycle on every run.
-        _disable_skip_ahead(machine)
+        if hasattr(machine, "skip_ahead"):
+            machine.skip_ahead = False
         tracer = getattr(machine, "tracer", None)
         if tracer is not None:
             # Injection happens at build time, before cycle 0.
             tracer.instant("chaos", 0, detail=str(spec))
     return machine
-
-
-def _disable_skip_ahead(machine: Any) -> None:
-    if hasattr(machine, "skip_ahead"):
-        machine.skip_ahead = False
-    inner = getattr(machine, "_machine", None)  # CoreFusionMachine
-    if inner is not None and hasattr(inner, "skip_ahead"):
-        inner.skip_ahead = False
 
 
 def maybe_apply_env_chaos(machine: Any) -> Any:
@@ -266,9 +257,6 @@ def _inject_commit_stall(machine: Any, spec: ChaosSpec) -> bool:
         machine._commit_gate = stalled_gate
         return True
     core = getattr(machine, "core", None)
-    if core is None:
-        inner = getattr(machine, "_machine", None)  # CoreFusionMachine
-        core = getattr(inner, "core", None)
     if core is not None:
         original = core.phase_commit
         state = {"committed": 0}
@@ -299,13 +287,10 @@ def _flip_last_byte(path) -> None:
 
 
 def _inject_corrupt_checkpoint(machine: Any, spec: ChaosSpec) -> bool:
-    target = machine
-    if not hasattr(target, "checkpoint_sink"):
-        target = getattr(machine, "_machine", None)
-        if target is None or not hasattr(target, "checkpoint_sink"):
-            return False
+    if not hasattr(machine, "checkpoint_sink"):
+        return False
     after = spec.get("after", 0)
-    inner = target.checkpoint_sink
+    inner = machine.checkpoint_sink
 
     class _CorruptingSink:
         """Writes checkpoints through the real sink, then vandalises
@@ -325,7 +310,7 @@ def _inject_corrupt_checkpoint(machine: Any, spec: ChaosSpec) -> bool:
                 _flip_last_byte(path)
             return path
 
-    target.checkpoint_sink = _CorruptingSink()
+    machine.checkpoint_sink = _CorruptingSink()
     return True
 
 

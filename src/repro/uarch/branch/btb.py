@@ -136,3 +136,12 @@ class FrontEndPredictor:
     def misprediction_rate(self) -> float:
         """Mispredictions per lookup (0 when never used)."""
         return self.mispredictions / self.lookups if self.lookups else 0.0
+
+    def stats(self) -> dict:
+        """Lookup and misprediction counts, as results and metrics report
+        them."""
+        return {
+            "lookups": self.lookups,
+            "mispredictions": self.mispredictions,
+            "misprediction_rate": self.misprediction_rate,
+        }

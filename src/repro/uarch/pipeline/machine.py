@@ -1,38 +1,28 @@
 """Single-core machine: one self-fetching out-of-order core.
 
-This is both the paper's single-core baseline and the runner the fused
-Core Fusion machine builds on (a fused machine is a single *wider*
-clustered core from the timing model's perspective).
+This is both the paper's single-core baseline and the machine Core
+Fusion subclasses (a fused machine is a single *wider* clustered core
+from the timing model's perspective).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional, Sequence
+from typing import Optional, Sequence
 
-from ...ckpt.manager import Checkpointer
-from ...ckpt.state import (CheckpointCorruption, MachineCheckpoint,
-                           dumps_state, loads_state, trace_fingerprint)
-from ...integrity.errors import (SimulationError, SimulationHang,
-                                 SimulationLimit)
-from ...integrity.forensics import uop_brief
-from ...integrity.watchdog import Watchdog
+from ...ckpt.state import MachineCheckpoint, dumps_state
 from ...stats.cpistack import CPIStack, maybe_validate
 from ...stats.result import SimResult
 from ...trace.record import TraceRecord
 from ..branch.btb import FrontEndPredictor
 from ..cache.hierarchy import CacheHierarchy
 from ..params import CoreParams
-from ..warmup import split_warmup, warm_state
-from .core import NO_EVENT, CycleCore, skip_ahead_enabled
+from ..warmup import warm_state
+from .core import CycleCore
 from .fetch import SelfFetchUnit
-from .uop import Uop
-
-#: Committed uops remembered for crash forensics ("what retired last").
-RECENT_COMMITS = 16
+from .kernel import MachineKernel
 
 
-class SingleCoreMachine:
+class SingleCoreMachine(MachineKernel):
     """One out-of-order core running one trace to completion.
 
     Args:
@@ -41,34 +31,10 @@ class SingleCoreMachine:
             Clustering knobs forwarded to :class:`CycleCore` (used by the
             Core Fusion machine; leave at defaults for a plain core).
         machine_label: Name recorded in the :class:`SimResult`.
-        max_cycles: Safety valve — a run exceeding this raises rather
-            than spinning forever on a model bug.
-        watchdog_window: Forward-progress hang window in cycles
-            (``None`` = environment default, ``0`` = disabled; see
-            :mod:`repro.integrity.watchdog`).
-        skip_ahead: Idle-cycle skip-ahead: when a cycle makes no
-            progress anywhere (nothing retired, completed, issued,
-            dispatched or fetched), jump the clock straight to the next
-            scheduled event (execution completion, redirect resume,
-            I-cache fill, watchdog expiry, ``max_cycles``), charging
-            the skipped cycles to the same CPI-stack bucket the naive
-            loop would have — results are bit-identical either way.
-            ``None`` (default) follows the ``REPRO_SKIP_AHEAD``
-            environment variable (on unless set to ``0``).
-        commit_hook: Optional observer called as ``hook(uop, cycle)``
-            for every architecturally retired uop, in retirement order.
-            ``None`` (the default) costs nothing on the hot path; the
-            commit-stream oracle (:mod:`repro.oracle`) attaches here.
-        tracer: Optional :class:`~repro.obs.tracer.PipelineTracer`
-            recording per-uop lifecycle and watchdog events.  Same
-            zero-cost contract as ``commit_hook``: ``None`` adds no
-            per-cycle work and an attached tracer never changes the
-            :class:`SimResult`.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            the machine registers its cache hierarchy into and fills
-            with run statistics; its single ``reset()`` is invoked
-            after functional warm-up so metrics never leak warm-up
-            counts.
+        **run_options: ``max_cycles``, ``watchdog_window``,
+            ``skip_ahead``, ``commit_hook``, ``tracer``, ``metrics``,
+            ``checkpoint_interval`` and ``checkpoint_sink``; see
+            :class:`~repro.uarch.pipeline.kernel.MachineKernel`.
     """
 
     def __init__(self, params: CoreParams,
@@ -76,330 +42,167 @@ class SingleCoreMachine:
                  cross_cluster_latency: int = 0,
                  cluster_issue_width: Optional[int] = None,
                  machine_label: str = "single",
-                 max_cycles: int = 200_000_000,
-                 watchdog_window: Optional[int] = None,
-                 skip_ahead: Optional[bool] = None,
-                 commit_hook: Optional[Callable[[Uop, int], None]] = None,
-                 tracer=None, metrics=None,
-                 checkpoint_interval: Optional[int] = None,
-                 checkpoint_sink=None):
+                 **run_options):
+        super().__init__(machine_label, params.name, **run_options)
         self.params = params
-        self.commit_hook = commit_hook
-        self.tracer = tracer
-        self.metrics = metrics
-        self.machine_label = machine_label
-        self.max_cycles = max_cycles
-        #: Committed-instruction checkpoint cadence (``None`` = follow
-        #: ``REPRO_CHECKPOINT_INTERVAL``; 0 = off) and the store the
-        #: snapshots land in (``None`` = default on-disk store).
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoint_sink = checkpoint_sink
         self._cluster_key = (num_clusters, cross_cluster_latency,
                              cluster_issue_width)
-        self.skip_ahead = skip_ahead_enabled(skip_ahead)
-        #: Diagnostic: cycles the last run bridged via skip-ahead
-        #: (deliberately *not* part of the :class:`SimResult`, which
-        #: must be bit-identical with and without the fast path).
-        self.skipped_cycles = 0
         self.hierarchy = CacheHierarchy(params)
-        if metrics is not None:
-            metrics.attach(self.hierarchy)
+        if self.metrics is not None:
+            self.metrics.attach(self.hierarchy)
         self.core = CycleCore(
             params, self.hierarchy, name=machine_label,
             num_clusters=num_clusters,
             cross_cluster_latency=cross_cluster_latency,
             cluster_issue_width=cluster_issue_width)
         self.predictor = FrontEndPredictor(params.branch)
-        self.watchdog = Watchdog(watchdog_window)
-        self._recent_commits: Deque[Uop] = deque(maxlen=RECENT_COMMITS)
+        self._fetch: Optional[SelfFetchUnit] = None
 
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0,
             resume_from: Optional[MachineCheckpoint] = None) -> SimResult:
-        """Simulate *trace* to completion and return the result.
+        """Simulate *trace* on the core (see :meth:`MachineKernel.run`)."""
+        return super().run(trace, workload, warmup, resume_from)
 
-        Args:
-            trace: The dynamic instruction stream.
-            workload: Name recorded in the result.
-            warmup: Number of leading instructions used to functionally
-                warm caches and the branch predictor; only the remainder
-                is timed (see :mod:`repro.uarch.warmup`).
-            resume_from: Optional :class:`MachineCheckpoint` taken by an
-                earlier run over the *same* trace/warmup/configuration;
-                simulation restarts from the snapshot and the final
-                result is bit-identical to a straight-through run.
+    # ------------------------------------------------------------------
+    # Cycle policy
+    # ------------------------------------------------------------------
 
-        Raises:
-            SimulationLimit: if the run exceeds ``max_cycles``.
-            SimulationHang: if the watchdog sees no commit for a whole
-                window while the run is incomplete.
-            PipelineDrainError: if the run ends with uops in flight.
-            CheckpointMismatch / CheckpointCorruption: if *resume_from*
-                does not belong to this run or fails to deserialize.
-            (All but the checkpoint errors are ``SimulationError``/
-            ``RuntimeError`` subclasses and carry partial statistics
-            plus a pipeline snapshot.)
-        """
-        if not trace:
-            return SimResult(self.machine_label, self.params.name,
-                             workload, 0, 0)
-        original_trace = trace
-        if warmup:
-            prefix, trace = split_warmup(trace, warmup)
-            if resume_from is None:
-                warm_state(prefix, self.hierarchy, self.predictor,
-                           line_bytes=self.params.l1i.line_bytes)
-                if self.metrics is not None:
-                    # Warm-up must not leak into measured metrics — the
-                    # one reset covers registry metrics AND attached
-                    # components.
-                    self.metrics.reset()
-        if resume_from is None:
-            fetch = SelfFetchUnit(self.core, trace, self.predictor,
-                                  line_bytes=self.params.l1i.line_bytes)
-            cycle = 0
-            committed = 0
-            self.watchdog.reset()
-            self._recent_commits.clear()
-            self.skipped_cycles = 0
-        else:
-            fetch, cycle, committed = self._install_checkpoint(
-                resume_from, trace, original_trace, warmup)
+    def _start(self, trace: Sequence[TraceRecord]) -> None:
+        self._fetch = SelfFetchUnit(self.core, trace, self.predictor,
+                                    line_bytes=self.params.l1i.line_bytes)
+
+    def _warm(self, prefix: Sequence[TraceRecord]) -> None:
+        warm_state(prefix, self.hierarchy, self.predictor,
+                   line_bytes=self.params.l1i.line_bytes)
+
+    def _make_step(self):
         core = self.core
+        fetch = self._fetch
+        commit = core.phase_commit
+        complete = core.phase_complete
+        issue = core.phase_issue
+        dispatch = core.phase_dispatch
+        fetch_phase = fetch.phase_fetch
+        stall_cause = fetch.stall_cause
+        attribute = core.attribute_cycle
+        remember = self._recent_commits.extend
+        hook = self.commit_hook
         tracer = self.tracer
-        total = len(trace)
-        watchdog = self.watchdog
-        skip = self.skip_ahead
-        max_cycles = self.max_cycles
-        ckpt = Checkpointer.maybe(self, self.machine_label, workload,
-                                  original_trace, warmup, start=committed)
-        try:
-            return self._run_loop(trace, workload, fetch, core, tracer,
-                                  cycle, committed, total, watchdog, skip,
-                                  max_cycles, ckpt)
-        except SimulationError as error:
-            if ckpt is not None:
-                ckpt.anchor(error)
-            raise
 
-    def _run_loop(self, trace, workload, fetch, core, tracer, cycle,
-                  committed, total, watchdog, skip, max_cycles,
-                  ckpt) -> SimResult:
-        while committed < total:
-            if ckpt is not None and ckpt.due(committed):
-                ckpt.take(cycle, committed,
-                          lambda f=fetch, c=cycle, k=committed:
-                          self._checkpoint_payload(f, c, k))
-            if cycle > max_cycles:
-                if tracer is not None:
-                    tracer.instant("watchdog", cycle,
-                                   detail=f"max_cycles {self.max_cycles} "
-                                          f"exceeded")
-                raise SimulationLimit(
-                    f"{self.machine_label}: exceeded {self.max_cycles} "
-                    f"cycles with {committed}/{total} committed",
-                    machine=self.machine_label, cycles=cycle,
-                    instructions=committed, total=total,
-                    partial=self._partial_stats(cycle, committed),
-                    snapshot=self.failure_snapshot(cycle, fetch))
-            if watchdog.expired(cycle, committed):
-                if tracer is not None:
-                    tracer.instant("watchdog", cycle,
-                                   detail=f"no commit for "
-                                          f"{watchdog.stalled_for(cycle)} "
-                                          f"cycles")
-                raise SimulationHang(
-                    f"{self.machine_label}: no commit for "
-                    f"{watchdog.stalled_for(cycle)} cycles at cycle "
-                    f"{cycle} with {committed}/{total} committed "
-                    f"({'work in flight' if core.busy() else 'frontend'})",
-                    machine=self.machine_label, cycles=cycle,
-                    instructions=committed, total=total,
-                    detail="core" if core.busy() else "frontend",
-                    partial=self._partial_stats(cycle, committed),
-                    snapshot=self.failure_snapshot(cycle, fetch))
-            retired_uops = core.phase_commit(cycle)
+        def step(cycle: int) -> bool:
+            retired_uops = commit(cycle)
             retired = len(retired_uops)
             if retired:
-                committed += retired
-                self._recent_commits.extend(retired_uops)
-                if self.commit_hook is not None:
+                self.committed += retired
+                remember(retired_uops)
+                if hook is not None:
                     for uop in retired_uops:
-                        self.commit_hook(uop, cycle)
+                        hook(uop, cycle)
                 if tracer is not None:
                     tracer.commits(retired_uops, cycle)
-            completed = core.phase_complete(cycle)
-            issued = core.phase_issue(cycle)
-            dispatched = core.phase_dispatch(cycle)
-            fetched = fetch.phase_fetch(cycle)
-            cause = fetch.stall_cause(cycle)
-            core.attribute_cycle(cycle, retired, frontend_cause=cause)
-            cycle += 1
-            if (skip and not retired and not completed and not issued
-                    and not dispatched and not fetched):
-                # Stalled everywhere: every cycle until the next
-                # scheduled event replays this one exactly, so charge
-                # them in bulk and jump the clock (bit-identical to the
-                # naive loop by construction — see CycleCore.next_event).
-                target = core.next_event(cycle - 1)
-                bound = fetch.next_event(cycle - 1)
-                if bound < target:
-                    target = bound
-                bound = watchdog.next_expiry()
-                if bound < target:
-                    target = bound
-                if max_cycles + 1 < target:
-                    target = max_cycles + 1
-                if target > cycle:
-                    count = target - cycle
-                    core.charge_idle_cycles(cycle, count,
-                                            frontend_cause=cause)
-                    fetch.charge_idle_cycles(count)
-                    self.skipped_cycles += count
-                    cycle = target
-        try:
-            core.drain_check()
-        except SimulationError as error:
-            error.attach(machine=self.machine_label, cycles=cycle,
-                         total=total,
-                         partial=self._partial_stats(cycle, committed),
-                         snapshot=self.failure_snapshot(cycle, fetch))
-            raise
-        stack = maybe_validate(CPIStack(
-            machine=self.machine_label, cycles=cycle,
-            instructions=committed, width=self.params.commit_width,
-            slots=dict(core.stats.commit_slots)))
-        if self.metrics is not None:
-            self._fill_metrics(cycle, committed, fetch)
-        return SimResult(
-            machine=self.machine_label,
-            config=self.params.name,
-            workload=workload,
-            cycles=cycle,
-            instructions=committed,
-            extra={
-                "core": core.stats.as_dict(),
-                "branch": {
-                    "lookups": self.predictor.lookups,
-                    "mispredictions": self.predictor.mispredictions,
-                    "misprediction_rate": self.predictor.misprediction_rate,
-                },
-                "caches": self.hierarchy.stats(),
-                "fetch": {
-                    "fetched": fetch.fetched,
-                    "mispredict_stall_cycles": fetch.mispredict_stalls,
-                },
-                "cpistack": stack.as_dict(),
-            },
-        )
+            completed = complete(cycle)
+            issued = issue(cycle)
+            dispatched = dispatch(cycle)
+            fetched = fetch_phase(cycle)
+            attribute(cycle, retired, frontend_cause=stall_cause(cycle))
+            return retired or completed or issued or dispatched or fetched
 
-    def checkpoint_params_key(self) -> str:
-        """Configuration identity for checkpoint compatibility checks."""
+        return step
+
+    def _next_event(self, now: int) -> int:
+        target = self.core.next_event(now)
+        bound = self._fetch.next_event(now)
+        return bound if bound < target else target
+
+    def _charge_idle(self, first: int, count: int) -> None:
+        fetch = self._fetch
+        self.core.charge_idle_cycles(first, count,
+                                     frontend_cause=fetch.stall_cause(first))
+        fetch.charge_idle_cycles(count)
+
+    def _busy(self) -> bool:
+        return self.core.busy()
+
+    def _drain_check(self) -> None:
+        self.core.drain_check()
+
+    # ------------------------------------------------------------------
+    # Checkpoint / restore
+    # ------------------------------------------------------------------
+
+    def _config_key(self) -> str:
         clusters, latency, width = self._cluster_key
         return (f"{self.params!r}|clusters={clusters}"
                 f"|xlat={latency}|cwidth={width}")
 
-    def _checkpoint_payload(self, fetch: SelfFetchUnit, cycle: int,
-                            committed: int) -> bytes:
-        """Pickle the machine's dynamic state in one blob.
-
-        The trace itself is detached first — it is reproducible from
+    def _pickle_state(self, state: dict) -> bytes:
+        """The trace itself is detached first -- it is reproducible from
         the workload/seed, dominates the snapshot size, and its
-        fingerprint already rides in the checkpoint metadata.
-        """
+        fingerprint already rides in the checkpoint metadata."""
+        fetch = self._fetch
         saved_trace = fetch.trace
         fetch.trace = ()
         try:
-            return dumps_state({
-                "hierarchy": self.hierarchy,
-                "core": self.core,
-                "predictor": self.predictor,
-                "fetch": fetch,
-                "watchdog": self.watchdog,
-                "recent_commits": self._recent_commits,
-                "skipped_cycles": self.skipped_cycles,
-                "cycle": cycle,
-                "committed": committed,
-            })
+            state.update(hierarchy=self.hierarchy, core=self.core,
+                         predictor=self.predictor, fetch=fetch)
+            return dumps_state(state)
         finally:
             fetch.trace = saved_trace
 
-    def _install_checkpoint(self, checkpoint: MachineCheckpoint,
-                            measured_trace, original_trace,
-                            warmup: int):
-        """Adopt a checkpoint's state; returns (fetch, cycle, committed).
-
-        Validates that the checkpoint belongs to this machine, trace,
-        and configuration before touching anything.
-        """
-        checkpoint.validate_for(
-            self.machine_label, trace_fingerprint(original_trace),
-            warmup, self.checkpoint_params_key())
-        state = loads_state(checkpoint.payload)
-        try:
-            self.hierarchy = state["hierarchy"]
-            self.core = state["core"]
-            self.predictor = state["predictor"]
-            self.watchdog = state["watchdog"]
-            self._recent_commits = state["recent_commits"]
-            self.skipped_cycles = state["skipped_cycles"]
-            fetch = state["fetch"]
-            cycle = state["cycle"]
-            committed = state["committed"]
-        except KeyError as exc:
-            raise CheckpointCorruption(
-                f"checkpoint state is missing {exc}") from exc
-        fetch.trace = measured_trace
+    def _adopt_state(self, state: dict, measured_trace) -> None:
+        self.hierarchy = state["hierarchy"]
+        self.core = state["core"]
+        self.predictor = state["predictor"]
+        self._fetch = state["fetch"]
+        self._fetch.trace = measured_trace
         if self.metrics is not None:
             self.metrics.attach(self.hierarchy)
-        return fetch, cycle, committed
 
-    def _fill_metrics(self, cycles: int, committed: int,
-                      fetch: SelfFetchUnit) -> None:
-        """Publish the run's statistics into the attached registry."""
-        metrics = self.metrics
-        metrics.gauge("sim.cycles").set(cycles)
-        metrics.gauge("sim.instructions").set(committed)
-        metrics.gauge("sim.ipc").set(committed / cycles if cycles else 0.0)
+    # ------------------------------------------------------------------
+    # Results
+    # ------------------------------------------------------------------
+
+    def _cpi_stack(self, cycles: int) -> CPIStack:
+        return CPIStack(machine=self.machine_label, cycles=cycles,
+                        instructions=self.committed,
+                        width=self.params.commit_width,
+                        slots=dict(self.core.stats.commit_slots))
+
+    def _partial_extra(self) -> dict:
+        return {"core": self.core.stats.as_dict()}
+
+    def _snapshot_parts(self) -> dict:
+        fetch = self._fetch
+        return {"core": self.core.snapshot(),
+                "fetch": fetch.snapshot() if fetch is not None else None}
+
+    def _fetch_stats(self) -> dict:
+        return {"fetched": self._fetch.fetched,
+                "mispredict_stall_cycles": self._fetch.mispredict_stalls}
+
+    def _ingest_metrics(self, metrics) -> None:
         metrics.ingest("core", self.core.stats.as_dict())
         metrics.ingest("caches", self.hierarchy.stats())
-        metrics.ingest("branch", {
-            "lookups": self.predictor.lookups,
-            "mispredictions": self.predictor.mispredictions,
-            "misprediction_rate": self.predictor.misprediction_rate,
-        })
-        metrics.ingest("fetch", {
-            "fetched": fetch.fetched,
-            "mispredict_stall_cycles": fetch.mispredict_stalls,
-        })
+        metrics.ingest("branch", self.predictor.stats())
+        metrics.ingest("fetch", self._fetch_stats())
 
-    def _partial_stats(self, cycles: int, committed: int) -> dict:
-        """Statistics accumulated up to a failure point (not validated —
-        the ledger is only complete for fully attributed cycles)."""
-        stack = CPIStack(machine=self.machine_label, cycles=cycles,
-                         instructions=committed,
-                         width=self.params.commit_width,
-                         slots=dict(self.core.stats.commit_slots))
-        return {
-            "cycles": cycles,
-            "instructions": committed,
-            "cpistack": stack.as_dict(),
-            "core": self.core.stats.as_dict(),
-        }
-
-    def failure_snapshot(self, cycle: int,
-                         fetch: Optional[SelfFetchUnit] = None) -> dict:
-        """JSON-able pipeline snapshot for crash forensics."""
-        snapshot = {
-            "machine": self.machine_label,
-            "cycle": cycle,
-            "core": self.core.snapshot(),
-            "fetch": fetch.snapshot() if fetch is not None else None,
-            "last_committed": [uop_brief(u) for u in self._recent_commits],
-        }
-        if self.tracer is not None:
-            snapshot["trace_events"] = self.tracer.tail()
-        return snapshot
+    def _result(self, workload: str, cycles: int) -> SimResult:
+        stack = maybe_validate(self._cpi_stack(cycles))
+        return SimResult(
+            machine=self.machine_label,
+            config=self.config_name,
+            workload=workload,
+            cycles=cycles,
+            instructions=self.committed,
+            extra={
+                "core": self.core.stats.as_dict(),
+                "branch": self.predictor.stats(),
+                "caches": self.hierarchy.stats(),
+                "fetch": self._fetch_stats(),
+                "cpistack": stack.as_dict(),
+            },
+        )
 
 
 def simulate_single_core(trace: Sequence[TraceRecord], params: CoreParams,

@@ -176,3 +176,27 @@ def test_fgstp_resume_rejects_another_state_layout(stale_suffix):
     with pytest.raises(CheckpointMismatch):
         build("fgstp", base).run(trace, workload="gcc", warmup=400,
                                  resume_from=stale)
+
+
+@pytest.mark.parametrize("name", ("single", "corefusion"))
+def test_single_core_resume_rejects_unversioned_layout(name):
+    """Single-core and Core Fusion keys carry the state version too: a
+    checkpoint written before they did (no ``|state=`` suffix) is
+    refused as a mismatch, not half-restored."""
+    from repro.ckpt.state import CheckpointMismatch
+
+    base = core_config("small")
+    trace = generate_trace("gcc", 2000, 1)
+    sink = CapturingSink()
+    build(name, base, checkpoint_interval=500, checkpoint_sink=sink) \
+        .run(trace, workload="gcc", warmup=400)
+    assert sink.saved
+    checkpoint = sink.saved[-1][1]
+    current = build(name, base).checkpoint_params_key()
+    assert checkpoint.params_key == current
+    assert current.endswith(f"|state=v{CHECKPOINT_STATE_VERSION}")
+    unversioned = dataclasses.replace(
+        checkpoint, params_key=current.rsplit("|state=", 1)[0])
+    with pytest.raises(CheckpointMismatch):
+        build(name, base).run(trace, workload="gcc", warmup=400,
+                              resume_from=unversioned)

@@ -7,6 +7,7 @@ NOT trip the watchdog (no false positives).
 
 import pytest
 
+from repro.corefusion.machine import CoreFusionMachine
 from repro.fgstp.orchestrator import FgStpMachine
 from repro.integrity.chaos import (ChaosError, ChaosSpec, apply_chaos,
                                    maybe_apply_env_chaos, spec_from_env)
@@ -97,16 +98,21 @@ def test_commit_stall_starves_fgstp_commit_gate(small_config):
     assert error.instructions <= 50 + 1
 
 
-def test_commit_stall_on_single_core_machine(small_config):
-    machine = SingleCoreMachine(small_config, watchdog_window=WINDOW)
-    apply_chaos(machine, ChaosSpec.parse("commit_stall:after=100"))
+@pytest.mark.parametrize("machine_class", (SingleCoreMachine,
+                                           CoreFusionMachine),
+                         ids=("single", "corefusion"))
+def test_commit_stall_on_single_core_machine(small_config, machine_class):
+    machine = machine_class(small_config, watchdog_window=WINDOW)
+    apply_chaos(machine, ChaosSpec.parse("commit_stall:after=100"),
+                strict=True)
+    assert machine.skip_ahead is False
     with pytest.raises(SimulationHang) as excinfo:
         machine.run(generate_trace("gcc", 2000))
     error = excinfo.value
     assert error.failure_class == "hang:core"
     # The injector stalls at commit-group granularity, so retirement may
-    # overshoot ``after`` by at most one group.
-    assert error.instructions <= 100 + small_config.commit_width
+    # overshoot ``after`` by at most one group (of the machine's width).
+    assert error.instructions <= 100 + machine.params.commit_width
 
 
 # -- perturbations that must NOT hang ----------------------------------
