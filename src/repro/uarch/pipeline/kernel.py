@@ -9,8 +9,9 @@ the policy.  ``_make_step()`` returns the per-cycle closure
 methods; it advances ``self.committed``, the only attribute written per
 cycle, and a falsy return means the cycle replayed an idle one exactly.
 ``_next_event`` and ``_charge_idle`` serve the skip-ahead; ``_start``,
-``_warm``, ``_pickle_state`` and ``_adopt_state`` the run state; and
-``_busy``, ``_cpi_stack``, ``_partial_extra``, ``_snapshot_parts``,
+``_warm``, ``_pickle_state`` and ``_adopt_state`` the run state;
+``_fetch_position`` and ``_lookahead`` the in-memory :class:`Snapshot`;
+and ``_busy``, ``_cpi_stack``, ``_partial_extra``, ``_snapshot_parts``,
 ``_drain_check``, ``_ingest_metrics`` and ``_result`` what failures and
 results report.  Each machine class still defines its own ``run``,
 delegating to :meth:`MachineKernel.run`, so a per-machine profile can
@@ -20,11 +21,11 @@ wrap it by name.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Sequence
+from typing import Callable, Deque, Optional, Sequence, Union
 
 from ...ckpt.manager import Checkpointer
-from ...ckpt.state import (CheckpointCorruption, MachineCheckpoint,
-                           loads_state, trace_fingerprint)
+from ...ckpt.state import (CheckpointCorruption, CheckpointMismatch,
+                           MachineCheckpoint, loads_state, trace_fingerprint)
 from ...integrity.errors import (SimulationError, SimulationHang,
                                  SimulationLimit)
 from ...integrity.forensics import uop_brief
@@ -44,8 +45,74 @@ RECENT_COMMITS = 16
 #: is refused as a mismatch instead of being half-unpickled.  (v2:
 #: slotted partitioner writer entries; v3: the shared kernel -- Fg-STP's
 #: ``_global_next`` became ``committed`` and its unread ``_now`` went
-#: away; the single-core and Core Fusion keys carry the version too.)
-CHECKPOINT_STATE_VERSION = 3
+#: away; the single-core and Core Fusion keys carry the version too;
+#: v4: cache sets are plain insertion-ordered dicts, not OrderedDicts.)
+CHECKPOINT_STATE_VERSION = 4
+
+
+class Snapshot:
+    """A run's state, held in memory, to resume over a longer trace.
+
+    :meth:`MachineKernel.request_snapshot` asks the next run for one.
+    The run takes it in its loop's checkpointer slot, at the first loop
+    top where ``committed >= at``, pickling the same payload a disk
+    checkpoint carries.  ``run(longer, warmup=w, resume_from=snapshot)``
+    on a machine of the same kind and configuration then carries on from
+    there, with no store and no trace fingerprint: the caller vouches
+    that *longer* extends the snapshotted trace record for record.  That
+    resume is exact only while the snapshotted run's front end had not
+    yet reached its trace's end, which :meth:`MachineKernel.snapshot_point`
+    bounds and :meth:`take` checks.
+
+    Attributes:
+        at: The requested commit count.
+        committed: The commit count the snapshot was taken at.
+        payload: The pickled state; ``None`` until taken.
+    """
+
+    __slots__ = ("at", "machine", "warmup", "params_key", "committed",
+                 "payload", "_end", "_position")
+
+    def __init__(self, at: int, machine: str, params_key: str):
+        self.at = at
+        self.machine = machine
+        self.params_key = params_key
+        self.warmup = 0
+        self.committed = 0
+        self.payload: Optional[bytes] = None
+        self._end = 0
+        self._position: Optional[Callable[[], int]] = None
+
+    def due(self, committed: int) -> bool:
+        return committed >= self.at and self.payload is None
+
+    def take(self, cycle: int, committed: int,
+             payload_fn: Callable[[], bytes]) -> None:
+        position = self._position()
+        if position >= self._end:
+            raise RuntimeError(
+                f"{self.machine}: snapshot at {committed} commits, but the "
+                f"front end has reached record {position} of {self._end}")
+        self.committed = committed
+        self.payload = payload_fn()
+        self._position = None
+
+    def anchor(self, error) -> None:
+        """Nothing to attach: an in-memory snapshot is not replayable."""
+
+    def validate_for(self, machine: str, warmup: int,
+                     params_key: str) -> None:
+        """Raise :class:`CheckpointMismatch` unless this snapshot was
+        taken, by the given machine, warm-up and configuration."""
+        if self.payload is None:
+            raise CheckpointMismatch(
+                f"{self.machine}: the snapshot at {self.at} commits was "
+                f"never taken")
+        if (self.machine, self.warmup, self.params_key) != (
+                machine, warmup, params_key):
+            raise CheckpointMismatch(
+                f"snapshot of {self.machine} (warmup {self.warmup}) does "
+                f"not belong to this {machine} run (warmup {warmup})")
 
 
 class MachineKernel:
@@ -112,6 +179,7 @@ class MachineKernel:
         self.committed = 0
         self.watchdog = Watchdog(watchdog_window)
         self._recent_commits: Deque[Uop] = deque(maxlen=RECENT_COMMITS)
+        self._snapshot_request: Optional[Snapshot] = None
 
     # ------------------------------------------------------------------
     # Run
@@ -119,7 +187,8 @@ class MachineKernel:
 
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0,
-            resume_from: Optional[MachineCheckpoint] = None) -> SimResult:
+            resume_from: Union[MachineCheckpoint, Snapshot, None] = None,
+            ) -> SimResult:
         """Simulate *trace* to completion and return the result.
 
         Args:
@@ -129,7 +198,8 @@ class MachineKernel:
                 warm caches and the branch predictor; only the remainder
                 is timed (see :mod:`repro.uarch.warmup`).
             resume_from: Optional :class:`MachineCheckpoint` taken by an
-                earlier run over the *same* trace/warmup/configuration;
+                earlier run over the *same* trace/warmup/configuration,
+                or a :class:`Snapshot` of a run over a prefix of it;
                 simulation restarts from the snapshot and the final
                 result is bit-identical to a straight-through run.
 
@@ -140,10 +210,13 @@ class MachineKernel:
             PipelineDrainError: if the run ends with uops in flight.
             CheckpointMismatch / CheckpointCorruption: if *resume_from*
                 does not belong to this run or fails to deserialize.
+            ValueError: if a requested snapshot lies past
+                :meth:`snapshot_point`.
             (All but the checkpoint errors are ``SimulationError``/
             ``RuntimeError`` subclasses and carry partial statistics
             plus a pipeline snapshot.)
         """
+        snapshot, self._snapshot_request = self._snapshot_request, None
         if not trace:
             return SimResult(self.machine_label, self.config_name,
                              workload, 0, 0)
@@ -167,9 +240,12 @@ class MachineKernel:
         else:
             cycle = self._install_checkpoint(resume_from, trace,
                                              original_trace, warmup)
-        ckpt = Checkpointer.maybe(self, self.machine_label, workload,
-                                  original_trace, warmup,
-                                  start=self.committed)
+        if snapshot is not None:
+            ckpt = self._arm_snapshot(snapshot, len(trace), warmup)
+        else:
+            ckpt = Checkpointer.maybe(self, self.machine_label, workload,
+                                      original_trace, warmup,
+                                      start=self.committed)
         try:
             cycle = self._run_loop(cycle, len(trace), ckpt)
             self._finish(cycle, len(trace))
@@ -311,17 +387,52 @@ class MachineKernel:
             "committed": self.committed,
         })
 
-    def _install_checkpoint(self, checkpoint: MachineCheckpoint,
-                            measured_trace, original_trace,
-                            warmup: int) -> int:
+    def request_snapshot(self, at: int) -> Snapshot:
+        """Have the next run take an in-memory :class:`Snapshot` once
+        *at* instructions have committed; it is filled in by that run."""
+        self._snapshot_request = Snapshot(at, self.machine_label,
+                                          self.checkpoint_params_key())
+        return self._snapshot_request
+
+    def snapshot_point(self, length: int) -> int:
+        """The last commit count at which a run over *length* measured
+        records can be snapshotted to resume over a longer trace.
+
+        Until then the front end cannot have reached the trace's end, so
+        the run has behaved exactly as it would on any trace extending
+        this one: by the first loop top with ``committed >= at`` it has
+        read fewer than ``at + _lookahead()`` records (see the machines'
+        ``_lookahead``).  Not positive when the trace is too short for
+        any snapshot.
+        """
+        return length - self._lookahead()
+
+    def _arm_snapshot(self, snapshot: Snapshot, length: int,
+                      warmup: int) -> Snapshot:
+        limit = self.snapshot_point(length)
+        if snapshot.at > limit:
+            raise ValueError(
+                f"{self.machine_label}: a snapshot at {snapshot.at} commits "
+                f"is past the safe point {limit} of a {length}-record trace")
+        snapshot.warmup = warmup
+        snapshot._end = length
+        snapshot._position = self._fetch_position
+        return snapshot
+
+    def _install_checkpoint(self, checkpoint, measured_trace,
+                            original_trace, warmup: int) -> int:
         """Adopt a checkpoint's state; returns the resume cycle.
 
-        Validates that the checkpoint belongs to this machine, trace,
-        and configuration before touching anything.
+        Validates that the checkpoint (or :class:`Snapshot`) belongs to
+        this machine, trace, and configuration before touching anything.
         """
-        checkpoint.validate_for(
-            self.machine_label, trace_fingerprint(original_trace),
-            warmup, self.checkpoint_params_key())
+        if isinstance(checkpoint, Snapshot):
+            checkpoint.validate_for(self.machine_label, warmup,
+                                    self.checkpoint_params_key())
+        else:
+            checkpoint.validate_for(
+                self.machine_label, trace_fingerprint(original_trace),
+                warmup, self.checkpoint_params_key())
         state = loads_state(checkpoint.payload)
         try:
             self.watchdog = state["watchdog"]

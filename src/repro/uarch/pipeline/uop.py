@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ...isa.opcodes import OpClass
 from ...trace.record import TraceRecord
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 # Uop lifecycle states.
 FETCHED = 0      #: in the fetch buffer
@@ -107,7 +111,8 @@ class Uop:
         self.seq = record.seq
         # Cached off the record: read once per dispatch/commit/squash
         # per cycle on the hot path (a double property hop otherwise).
-        self.is_memory = record.is_memory
+        op = record.op_class
+        self.is_memory = op is _LOAD or op is _STORE
         self.replica = replica
         self.cluster = 0
         self.core_id = core_id

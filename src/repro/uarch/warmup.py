@@ -14,10 +14,16 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..isa.opcodes import OpClass
 from ..isa.program import INSTRUCTION_BYTES
 from ..trace.record import TraceRecord
 from .branch.btb import FrontEndPredictor
 from .cache.hierarchy import CacheHierarchy
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
 
 
 def warm_state(records: Sequence[TraceRecord],
@@ -31,16 +37,17 @@ def warm_state(records: Sequence[TraceRecord],
     """
     last_line = -1
     for record in records:
+        op = record.op_class
         if hierarchy is not None:
             line = (record.pc * INSTRUCTION_BYTES) // line_bytes
             if line != last_line:
                 hierarchy.l1i.access(record.pc * INSTRUCTION_BYTES)
                 last_line = line
-            if record.is_load:
+            if op is _LOAD:
                 hierarchy.l1d.access(record.mem_addr, is_write=False)
-            elif record.is_store:
+            elif op is _STORE:
                 hierarchy.l1d.access(record.mem_addr, is_write=True)
-        if predictor is not None and record.is_control:
+        if predictor is not None and (op is _BRANCH or op is _JUMP):
             predictor.predict(record)
             predictor.update(record)
     if predictor is not None:
@@ -62,6 +69,18 @@ def reseq(records: Sequence[TraceRecord]) -> List[TraceRecord]:
     ]
 
 
+def check_warmup(length: int, warmup: int) -> None:
+    """Raise ValueError unless *warmup* leaves instructions of a
+    *length*-record trace to measure."""
+    if warmup < 0:
+        raise ValueError(f"negative warmup: {warmup}")
+    if warmup and warmup >= length:
+        # An empty trace must raise too — the old `len(records) > 0`
+        # guard silently returned ([], []) for it.
+        raise ValueError(
+            f"warmup {warmup} consumes the whole {length}-record trace")
+
+
 def split_warmup(records: Sequence[TraceRecord],
                  warmup: int) -> tuple:
     """Split a trace into ``(warmup_prefix, reseq'd measured_suffix)``.
@@ -69,13 +88,7 @@ def split_warmup(records: Sequence[TraceRecord],
     Raises:
         ValueError: when *warmup* leaves no instructions to measure.
     """
-    if warmup < 0:
-        raise ValueError(f"negative warmup: {warmup}")
-    if warmup and warmup >= len(records):
-        # An empty trace must raise too — the old `len(records) > 0`
-        # guard silently returned ([], []) for it.
-        raise ValueError(
-            f"warmup {warmup} consumes the whole {len(records)}-record trace")
+    check_warmup(len(records), warmup)
     if warmup == 0:
         return [], list(records)
     return list(records[:warmup]), reseq(records[warmup:])

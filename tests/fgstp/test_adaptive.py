@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fgstp.adaptive import AdaptiveFgStpMachine, simulate_fgstp_adaptive
+from repro.harness.runners import MACHINES, build_machine
 from repro.uarch.params import small_core_config
 from repro.uarch.pipeline.machine import simulate_single_core
 from repro.workloads.generator import generate_trace
@@ -75,3 +76,12 @@ def test_regions_are_dense_from_zero(length, warmup):
         assert [record.seq for record in region_trace] \
             == list(range(len(region_trace)))
         assert region_warmup < len(region_trace)
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_warmup_covering_the_trace_is_refused(machine):
+    trace = generate_trace("gcc", 1000)
+    model = build_machine(machine, small_core_config())
+    with pytest.raises(ValueError,
+                       match="warmup 1000 consumes the whole 1000-record"):
+        model.run(trace, warmup=1000)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.workloads.suite import (
     DEFAULT_CACHE,
+    DISK_CACHE_MEMORY_TRACES,
     DiskTraceCache,
     TraceCache,
     iter_suite,
@@ -70,6 +71,27 @@ def test_disk_cache_memoises_and_persists(tmp_path):
     assert cache.hits == 1 and cache.misses == 1
     assert cache.disk_misses == 1 and cache.disk_hits == 0
     assert cache.path_for("gcc", 200).exists()
+
+
+def test_disk_cache_memory_tier_keeps_recent_traces(tmp_path):
+    cache = DiskTraceCache(tmp_path)
+    seeds = range(DISK_CACHE_MEMORY_TRACES + 1)
+    for seed in seeds:
+        cache.get("gcc", 100, seed=seed)
+    cache.get("gcc", 100, seed=seeds[-1])  # the newest stays in memory
+    assert cache.hits == 1
+    cache.get("gcc", 100, seed=0)  # the oldest came back from disk
+    assert cache.hits == 1 and cache.disk_hits == 1
+    assert cache.disk_misses == len(seeds)
+    assert len(cache._traces) == DISK_CACHE_MEMORY_TRACES
+
+
+def test_plain_trace_cache_is_unbounded():
+    cache = TraceCache()
+    first = cache.get("gcc", 100, seed=0)
+    for seed in range(1, DISK_CACHE_MEMORY_TRACES + 2):
+        cache.get("gcc", 100, seed=seed)
+    assert cache.get("gcc", 100, seed=0) is first
 
 
 def test_disk_cache_shared_between_instances(tmp_path):
