@@ -138,6 +138,25 @@ def make_job(machine: str, benchmark: str, base: CoreParams,
                     oracle=oracle, trace=trace)
 
 
+def _grouped_by_trace(jobs: Sequence[SweepJob],
+                      indices: Sequence[int]) -> List[int]:
+    """*indices* reordered so that jobs on the same trace run together.
+
+    Groups keep the order of their first job and jobs keep their order
+    within a group, so an order already grouped (that of
+    :func:`matrix_jobs` for one config) is unchanged.  Pool workers take
+    jobs in this order, so a worker is done with a trace once it moves
+    on, which is what lets :class:`DiskTraceCache` keep only a few
+    traces in memory even when callers list benchmarks innermost.
+    """
+    groups: Dict[Tuple[str, int, int], List[int]] = {}
+    for index in indices:
+        job = jobs[index]
+        key = (job.benchmark, job.config.trace_length, job.config.seed)
+        groups.setdefault(key, []).append(index)
+    return [index for group in groups.values() for index in group]
+
+
 def matrix_jobs(benchmarks: Sequence[str], seeds: Sequence[int],
                 machines: Sequence[str],
                 configs: Sequence[str] = ("medium",),
@@ -698,6 +717,7 @@ class ExperimentEngine:
                 metrics.result_cache_hits += 1
             else:
                 pending.append(index)
+        pending = _grouped_by_trace(jobs, pending)
         metrics.stage_seconds["cache_probe"] = \
             time.monotonic() - probe_started
 

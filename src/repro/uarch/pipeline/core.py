@@ -78,6 +78,11 @@ def skip_ahead_enabled(flag: Optional[bool] = None) -> bool:
     return raw.strip().lower() not in ("0", "false", "off", "no")
 
 
+def fetch_buffer_capacity(params: CoreParams) -> int:
+    """Uops a core's fetch buffer holds."""
+    return max(2 * params.fetch_width, 8)
+
+
 class CoreStats:
     """Counters accumulated by one core over a run."""
 
@@ -161,7 +166,7 @@ class CycleCore:
             for op_class in OpClass)
 
         self._fetch_buffer: deque = deque()
-        self._fetch_capacity = max(2 * params.fetch_width, 8)
+        self._fetch_capacity = fetch_buffer_capacity(params)
         self._rob: deque = deque()
         self._iq_count = 0
         self._lsq_count = 0

@@ -17,11 +17,14 @@ import time
 
 import pytest
 
+from repro.harness import parallel
 from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import (ExperimentEngine, SweepError, SweepJob,
-                                    execute_job, make_job, matrix_jobs,
-                                    run_jobs)
+                                    _grouped_by_trace, execute_job, make_job,
+                                    matrix_jobs, run_jobs)
+from repro.stats.result import SimResult
 from repro.uarch.params import core_config
+from repro.workloads.suite import DISK_CACHE_MEMORY_TRACES
 
 #: Small-but-real sizing: big enough to exercise every machine stage.
 LENGTH, WARMUP = 3000, 1000
@@ -67,6 +70,18 @@ def _crashing_fn(job):
     return execute_job(job)
 
 
+def _trace_loads_fn(job):
+    """Reads the job's trace through this process's trace cache and
+    reports how many traces that cache has loaded from disk or generated
+    so far, instead of simulating."""
+    cache = parallel._PROCESS_CACHE
+    cache.get(job.benchmark, job.config.trace_length, job.config.seed)
+    return SimResult(machine=job.machine, config=job.base.name,
+                     workload=job.benchmark, cycles=1, instructions=1,
+                     extra={"pid": os.getpid(),
+                            "loads": cache.disk_hits + cache.disk_misses})
+
+
 # -- determinism / equivalence ------------------------------------------
 
 def test_parallel_matches_serial_bit_identical(tmp_path):
@@ -109,6 +124,40 @@ def test_result_cache_hits_skip_execution(tmp_path):
     for left, right in zip(first.results, second.results):
         assert left.cycles == right.cycles
         assert left.extra == right.extra
+
+
+# -- trace locality -----------------------------------------------------
+
+def test_matrix_order_is_already_grouped_by_trace():
+    jobs = matrix_jobs(benchmarks=["gcc", "mcf"], seeds=[1, 2],
+                       machines=["single", "fgstp"],
+                       configs=("medium",), trace_length=LENGTH,
+                       warmup=WARMUP)
+    assert _grouped_by_trace(jobs, range(len(jobs))) == \
+        list(range(len(jobs)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_worker_loads_each_trace_once(workers, tmp_path):
+    # Benchmarks innermost, as in run_suites and the E4/E5/E9 sweeps, over
+    # more traces than a DiskTraceCache keeps in memory.
+    names = ("gcc", "mcf", "milc")
+    assert len(names) > DISK_CACHE_MEMORY_TRACES
+    config = ExperimentConfig(trace_length=300, warmup=100)
+    jobs = [make_job(machine, name, core_config("medium"), config)
+            for machine in ("single", "fgstp", "corefusion")
+            for name in names]
+    outcome = ExperimentEngine(max_workers=workers,
+                               cache_dir=tmp_path / "cache",
+                               result_cache=False).run(
+        jobs, job_fn=_trace_loads_fn)
+    assert outcome.ok
+    touched, loads = {}, {}
+    for job, result in zip(jobs, outcome.results):
+        pid = result.extra["pid"]
+        touched.setdefault(pid, set()).add(job.benchmark)
+        loads[pid] = max(loads.get(pid, 0), result.extra["loads"])
+    assert loads == {pid: len(seen) for pid, seen in touched.items()}
 
 
 # -- robustness ---------------------------------------------------------
