@@ -24,7 +24,7 @@ from ..stats.cpistack import CPIStack, cpistack_of, maybe_validate
 from ..stats.result import SimResult
 from ..trace.record import TraceRecord
 from ..uarch.params import CoreParams
-from ..uarch.pipeline.kernel import Snapshot
+from ..uarch.pipeline.kernel import Snapshot, collector_policy
 from ..uarch.pipeline.machine import SingleCoreMachine
 from ..uarch.warmup import check_warmup, reseq
 from .orchestrator import FgStpMachine
@@ -182,6 +182,7 @@ class AdaptiveFgStpMachine:
         #: ``None`` lets each follow the REPRO_SKIP_AHEAD environment.
         self.skip_ahead = skip_ahead
 
+    @collector_policy()
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0,
             resume_from: Optional[MachineCheckpoint] = None) -> SimResult:

@@ -171,8 +171,19 @@ class FgStpMachine(MachineKernel):
             resume_from: Union[MachineCheckpoint, Snapshot, None] = None,
             ) -> SimResult:
         """Simulate *trace* on the Fg-STP pair (see
-        :meth:`MachineKernel.run`)."""
-        return super().run(trace, workload, warmup, resume_from)
+        :meth:`MachineKernel.run`).  A machine runs once: ``_start``
+        resets neither the cores nor the partitioner."""
+        try:
+            return super().run(trace, workload, warmup, resume_from)
+        finally:
+            # The cores' callbacks are bound methods of this machine;
+            # dropping them leaves the finished machine acyclic, so
+            # reference counting frees it (trace, caches, predictor) as
+            # soon as the caller lets go, not at a full collection.
+            for core in self.cores:
+                core.on_complete = None
+                core.on_commit = None
+            self._drop_committed_tags()
 
     def _start(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace
@@ -430,11 +441,14 @@ class FgStpMachine(MachineKernel):
             return
         victim = min(self._pending_violations, key=lambda u: u.seq)
         self._pending_violations.clear()
+        store_pc = self._violation_store_pc.pop(victim.uid, None)
+        # The other pending loads are no older than the victim, so they
+        # are squashed with it.
+        self._violation_store_pc.clear()
         if victim.state in (SQUASHED, COMMITTED):
             return
         squash_seq = victim.seq
         self.dep_predictor.train_violation(victim.record.pc)
-        store_pc = self._violation_store_pc.pop(victim.uid, None)
         if store_pc is not None:
             # Teach the partitioner to co-locate this pair in future
             # (violations train with extra weight).
@@ -456,8 +470,15 @@ class FgStpMachine(MachineKernel):
                 feed.pop()
         self._batch = [r for r in self._batch if r.seq < squash_seq]
         self._fetch_cursor = squash_seq
+        send_map = self._send_map
+        watch = self._watch
         for seq in [s for s in self._live if s >= squash_seq]:
-            del self._live[seq]
+            # A squashed uop never completes, so its pending sends and
+            # watchers would never be popped; their consumers are younger
+            # and squashed too.
+            for uop in self._live.pop(seq):
+                send_map.pop(uop.uid, None)
+                watch.pop(uop.uid, None)
             self._copies.pop(seq, None)
         for key in [k for k in self._comm_tags if k[0] >= squash_seq]:
             del self._comm_tags[key]
@@ -683,7 +704,10 @@ class FgStpMachine(MachineKernel):
             return
         if self.fgstp.speculation \
                 and not self.dep_predictor.predicts_sync(record.pc):
-            self._watch.setdefault(store.uid, []).append(load_uop)
+            # Watchers fire when the store completes; a completed store
+            # has nothing left to check.
+            if store.state != COMPLETED:
+                self._watch.setdefault(store.uid, []).append(load_uop)
             return
         # Synchronise: the load waits for the store's data to cross.
         if store.complete_cycle is not None \
@@ -704,6 +728,16 @@ class FgStpMachine(MachineKernel):
         if self.committed - self._last_retire_prune >= 1024:
             self.partitioner.retire(self.committed)
             self._last_retire_prune = self.committed
+            self._drop_committed_tags()
+
+    def _drop_committed_tags(self) -> None:
+        """Forget the value tags of committed producers: the partitioner
+        names only uncommitted ones in ``comm_srcs``, so they are never
+        looked up again."""
+        tags = self._comm_tags
+        committed = self.committed
+        for key in [k for k in tags if k[0] < committed]:
+            del tags[key]
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

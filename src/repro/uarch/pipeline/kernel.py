@@ -15,12 +15,15 @@ and ``_busy``, ``_cpi_stack``, ``_partial_extra``, ``_snapshot_parts``,
 ``_drain_check``, ``_ingest_metrics`` and ``_result`` what failures and
 results report.  Each machine class still defines its own ``run``,
 delegating to :meth:`MachineKernel.run`, so a per-machine profile can
-wrap it by name.
+wrap it by name.  Every run executes under :func:`collector_policy`, the
+simulator's one garbage-collector setting.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from contextlib import contextmanager
 from typing import Callable, Deque, Optional, Sequence, Union
 
 from ...ckpt.manager import Checkpointer
@@ -46,8 +49,42 @@ RECENT_COMMITS = 16
 #: slotted partitioner writer entries; v3: the shared kernel -- Fg-STP's
 #: ``_global_next`` became ``committed`` and its unread ``_now`` went
 #: away; the single-core and Core Fusion keys carry the version too;
-#: v4: cache sets are plain insertion-ordered dicts, not OrderedDicts.)
-CHECKPOINT_STATE_VERSION = 4
+#: v4: cache sets are plain insertion-ordered dicts, not OrderedDicts;
+#: v5: uops lost their unread ``produce_tags`` slot.)
+CHECKPOINT_STATE_VERSION = 5
+
+#: Young-generation collection threshold every simulation runs under
+#: (see :func:`collector_policy`).  An Fg-STP window keeps ~512
+#: instructions in flight for hundreds of cycles, each with its uops,
+#: replicas, value tags, writer entries and journal tuples; under
+#: CPython's default of 700 allocations most of them survive two young
+#: collections, get promoted, and drive repeated full collections over
+#: the whole heap.  The measured shares are in docs/architecture.md.
+GC_YOUNG_THRESHOLD = 50_000
+
+
+@contextmanager
+def collector_policy():
+    """Run the enclosed simulation under :data:`GC_YOUNG_THRESHOLD`.
+
+    The young-generation threshold is raised only while automatic
+    collection is enabled and the caller's threshold is positive and
+    below the constant; a disabled collector, a threshold of 0 and a
+    higher caller setting are left alone.  On exit, normal or by an
+    exception, the caller's ``gc.get_threshold()`` is restored exactly,
+    so nested runs (the adaptive machine's region runs) leave the
+    outermost setting in place.  Applied as ``@collector_policy()`` to
+    :meth:`MachineKernel.run` and to the adaptive machine's ``run``.
+    """
+    saved = gc.get_threshold()
+    raised = gc.isenabled() and 0 < saved[0] < GC_YOUNG_THRESHOLD
+    if raised:
+        gc.set_threshold(GC_YOUNG_THRESHOLD, *saved[1:])
+    try:
+        yield
+    finally:
+        if raised:
+            gc.set_threshold(*saved)
 
 
 class Snapshot:
@@ -185,6 +222,7 @@ class MachineKernel:
     # Run
     # ------------------------------------------------------------------
 
+    @collector_policy()
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0,
             resume_from: Union[MachineCheckpoint, Snapshot, None] = None,

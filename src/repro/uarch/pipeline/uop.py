@@ -100,8 +100,8 @@ class Uop:
         "record", "uid", "seq", "replica", "cluster", "core_id", "pool",
         "state", "pending", "operand_ready", "consumers",
         "fetch_cycle", "dispatch_cycle", "ready_cycle", "issue_cycle",
-        "complete_cycle", "commit_cycle", "forwarded", "produce_tags",
-        "extra_deps", "predicted_wrong", "is_memory",
+        "complete_cycle", "commit_cycle", "forwarded", "extra_deps",
+        "predicted_wrong", "is_memory",
     )
 
     def __init__(self, record: TraceRecord, uid: int,
@@ -128,7 +128,6 @@ class Uop:
         self.complete_cycle: Optional[int] = None
         self.commit_cycle = -1
         self.forwarded = False          # load served by in-core store forward
-        self.produce_tags: List[ValueTag] = []  # satisfied when completed
         self.extra_deps: List[ValueTag] = []    # attached before feeding
         self.predicted_wrong = False    # front end mispredicted this uop
 

@@ -152,7 +152,8 @@ def test_resume_rejects_foreign_checkpoint():
 
 @pytest.mark.parametrize("stale_suffix", (
     "",                                          # written before versions
-    f"|state=v{CHECKPOINT_STATE_VERSION - 1}",   # an older layout
+    # every older layout
+    *(f"|state=v{version}" for version in range(2, CHECKPOINT_STATE_VERSION)),
 ))
 def test_fgstp_resume_rejects_another_state_layout(stale_suffix):
     """A checkpoint pickled under another layout of the Fg-STP state is

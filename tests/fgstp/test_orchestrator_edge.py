@@ -6,7 +6,7 @@ from repro.fgstp.orchestrator import FgStpMachine, simulate_fgstp
 from repro.fgstp.params import FgStpParams
 from repro.isa.opcodes import OpClass
 from repro.trace.record import TraceRecord
-from repro.uarch.params import small_core_config
+from repro.uarch.params import medium_core_config, small_core_config
 from repro.workloads.generator import generate_trace
 
 
@@ -113,4 +113,32 @@ def test_commit_monotonic_seq():
     for seq in committed:
         if not non_replica or seq != non_replica[-1]:
             non_replica.append(seq)
+    assert non_replica
     assert non_replica == sorted(non_replica)
+
+
+def test_bookkeeping_holds_no_committed_or_squashed_uop():
+    """The value-tag, send, watch and violation maps forget committed
+    producers and squashed uops instead of growing with the run."""
+    machine = FgStpMachine(medium_core_config())
+    checks = []
+
+    def check(_uop, _cycle):
+        if machine.committed % 500:
+            return
+        live = {uop.uid for uops in machine._live.values() for uop in uops}
+        checks.append(machine.committed)
+        assert set(machine._send_map) <= live
+        assert set(machine._watch) <= live
+        assert not machine._violation_store_pc
+        assert all(seq >= machine._last_retire_prune
+                   for seq, _core in machine._comm_tags)
+
+    machine.commit_hook = check
+    result = machine.run(generate_trace("milc", 30000), warmup=10000)
+    assert result.instructions == 20000
+    assert machine.squashes > 0 and len(checks) == 40
+    assert not machine._comm_tags
+    assert not machine._send_map
+    assert not machine._watch
+    assert not machine._violation_store_pc
